@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -238,10 +239,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help exits 0; usage errors exit 1 via _Parser
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"bernocchi: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader left early (`... | head`): stop quietly, as pipeline
+        # tools do.  Unflushed output goes to devnull so that the flush at
+        # interpreter shutdown cannot raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"bernocchi: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import binomial, factorial, int_pow
 from .polynomial import interpolate
@@ -101,14 +102,19 @@ def bernoulli_series_oracle(n: int) -> Fraction:
 
 
 def bernoulli_higgins(n: int) -> Fraction:
-    """B_n = sum_{k=0..n} 1/(k+1) * sum_{j=0..k} (-1)^j C(k,j) j^n, with 0^0 = 1."""
+    """B_n = sum_{k=0..n} 1/(k+1) * sum_{j=0..k} (-1)^j C(k,j) j^n, with 0^0 = 1.
+
+    Summed in integers over the common denominator lcm(1..n+1), reduced once.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = Fraction(0)
+    signed_powers = [(-1) ** j * int_pow(j, n) for j in range(n + 1)]
+    common = lcm(*range(1, n + 2))
+    total = 0
     for k in range(n + 1):
-        inner = sum((-1) ** j * binomial(k, j) * int_pow(j, n) for j in range(k + 1))
-        total += Fraction(inner, k + 1)
-    return total
+        inner = sum(binomial(k, j) * signed_powers[j] for j in range(k + 1))
+        total += inner * (common // (k + 1))
+    return Fraction(total, common)
 
 
 def bernoulli_stirling_single(n: int, triangle: StirlingTriangle | None = None) -> Fraction:
@@ -125,16 +131,25 @@ def bernoulli_stirling_single(n: int, triangle: StirlingTriangle | None = None) 
 def bernoulli_gould_double(n: int) -> Fraction:
     """B_n by the double sum
     sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! sum_{k=0..j} (-1)^(j-k) C(j,k) k^(n+j),
-    with 0^0 = 1."""
+    with 0^0 = 1.
+
+    Summed in integers over the common denominator (2n)!/n!, so term j is
+    weighted by the integer (2n)!/(n+j)!, and reduced once.  The signs
+    combine to (-1)^j (-1)^(j-k) = (-1)^k.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = Fraction(0)
+    common = factorial(2 * n) // factorial(n)
+    weight = common  # (2n)!/(n+j)!
+    signed_powers = [(-1) ** k * int_pow(k, n) for k in range(n + 1)]  # (-1)^k k^(n+j)
+    total = 0
     for j in range(n + 1):
-        inner = sum(
-            (-1) ** (j - k) * binomial(j, k) * int_pow(k, n + j) for k in range(j + 1)
-        )
-        total += (-1) ** j * binomial(n + 1, j + 1) * Fraction(factorial(n), factorial(n + j)) * inner
-    return total
+        if j:
+            weight //= n + j
+            signed_powers = [k * p for k, p in enumerate(signed_powers)]
+        inner = sum(binomial(j, k) * signed_powers[k] for k in range(j + 1))
+        total += binomial(n + 1, j + 1) * weight * inner
+    return Fraction(total, common)
 
 
 def bernoulli_stirling_ratio(n: int, triangle: StirlingTriangle | None = None) -> Fraction:

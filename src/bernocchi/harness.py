@@ -13,7 +13,6 @@ import enum
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -139,26 +138,15 @@ def _record_for(n: int, evaluations: Sequence[FormulaEvaluation]) -> IndexRecord
     return IndexRecord(n, consensus, tuple(agreeing), tuple(dissenting))
 
 
-def verify_range(
-    max_n: int,
-    triangle: StirlingTriangle | None = None,
-    parallel: bool = False,
-) -> VerificationReport:
+def verify_range(max_n: int, triangle: StirlingTriangle | None = None) -> VerificationReport:
     """Differential report over indices 0..max_n.
 
-    The report content is deterministic: identical for sequential and
-    parallel runs, and it carries no timing fields.
+    The report content is deterministic and carries no timing fields.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     t = triangle if triangle is not None else _triangle_for_range(max_n)
-    indices = range(max_n + 1)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            all_evals = list(pool.map(lambda n: evaluate_all(n, t), indices))
-    else:
-        all_evals = [evaluate_all(n, t) for n in indices]
-    records = tuple(_record_for(n, evs) for n, evs in zip(indices, all_evals))
+    records = tuple(_record_for(n, evaluate_all(n, t)) for n in range(max_n + 1))
     agreements = sum(len(r.agreeing) for r in records)
     dissents = sum(len(r.dissenting) for r in records)
     trusted_dissent = any(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 __all__ = ["RationalPolynomial", "X", "interpolate"]
@@ -113,19 +114,43 @@ X = RationalPolynomial((0, 1))
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RationalPolynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton divided differences; the abscissas must be pairwise distinct.
+    Lagrange form over one common denominator, in integers throughout.
+    With nodes scaled to integers X_i = d*x_i and values to Y_i = e*y_i
+    (d, e the lcms of the denominators), M(t) = prod_j (t - X_j) and
+    W_i = prod_{j != i} (X_i - X_j), the integer polynomial
+    N(t) = sum_i Y_i (L/W_i) M(t)/(t - X_i) with L = lcm_i |W_i| gives
+    coefficient m of the result as N_m d^m / (L e).  The abscissas must be
+    pairwise distinct.
     """
     xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissas must be distinct")
-    newton = [Fraction(y) for _, y in points]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
-    result = RationalPolynomial()
-    basis = RationalPolynomial((1,))
-    for i in range(n):
-        result = result + newton[i] * basis
-        basis = basis * RationalPolynomial((-xs[i], 1))
-    return result
+    d = lcm(*(x.denominator for x in xs))
+    e = lcm(*(y.denominator for y in ys))
+    nodes = [x.numerator * (d // x.denominator) for x in xs]
+    values = [y.numerator * (e // y.denominator) for y in ys]
+    n = len(nodes)
+
+    # M(t), lowest coefficient first; multiply in one (t - X_j) at a time.
+    monic = [1]
+    for node in nodes:
+        monic = [0] + monic
+        for i in range(len(monic) - 1):
+            monic[i] -= node * monic[i + 1]
+
+    weights = [prod(xi - xj for xj in nodes if xj != xi) for xi in nodes]
+    common = lcm(*weights)
+
+    numerator = [0] * n
+    for xi, yi, w in zip(nodes, values, weights):
+        scale = yi * (common // w)
+        # Synthetic division M(t) / (t - X_i), from the top coefficient down.
+        q = 0
+        for m in range(n, 0, -1):
+            q = monic[m] + xi * q
+            numerator[m - 1] += scale * q
+    denominator = common * e
+    return RationalPolynomial(
+        Fraction(c * d**m, denominator) for m, c in enumerate(numerator)
+    )

@@ -1,4 +1,11 @@
 """CLI surface: subcommands, formats, exit-status contract, cache behavior."""
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bernocchi
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
 
@@ -75,6 +82,13 @@ def test_verify_output_is_stable(capsys):
     first = run(capsys, "verify", "--max-n", "12", "--format", "csv")
     second = run(capsys, "verify", "--max-n", "12", "--format", "csv")
     assert first == second
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "40", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "d5a96d043476fcaf1db594cb41bed9ddd9f78628805f49651ea030a1f0aec010"
 
 
 def test_verify_csv_layout(capsys):
@@ -228,3 +242,20 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
+
+
+def test_broken_pipe_exits_quietly():
+    # ~450 kB of output, far more than a pipe holds, so writes after the
+    # reader has gone must hit a broken pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(bernocchi.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bernocchi.cli", "table", "stirling", "120"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""

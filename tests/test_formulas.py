@@ -121,11 +121,11 @@ def test_faulhaber_coefficient_examples():
 
 
 def test_faulhaber_tables_reproduce_power_sums():
-    for p in range(0, 14):
+    for p in range(0, 41):
         table = faulhaber_coefficients(p)
         assert table.coefficient(0) == 0
         running = Fraction(0)
-        for n in range(1, p + 4):
+        for n in range(1, p + 4):  # nodes are 0..p+1; p+2 and p+3 are off-node
             running += int_pow(n, p)
             assert table.evaluate(n) == running
 
@@ -209,6 +209,14 @@ def test_all_trusted_formulas_agree_with_oracle():
         if n >= 2 and n % 2 == 0:
             assert bernoulli_faulhaber_recursion(n // 2) == oracle
             assert bernoulli_double_stirling(n // 2, triangle) == oracle
+
+
+@pytest.mark.parametrize("n", [64, 100])
+def test_integer_kernels_agree_with_oracle_at_large_n(n):
+    oracle = bernoulli_series_oracle(n)
+    assert bernoulli_higgins(n) == oracle
+    assert bernoulli_gould_double(n) == oracle
+    assert bernoulli_faulhaber_recursion(n // 2) == oracle
 
 
 def test_formula_registry_flags():

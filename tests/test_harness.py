@@ -100,10 +100,6 @@ def test_verify_range_deterministic():
     assert verify_range(12) == verify_range(12)
 
 
-def test_parallel_equals_sequential():
-    assert verify_range(12, parallel=True) == verify_range(12, parallel=False)
-
-
 def test_report_serialization_schema():
     report = verify_range(4)
     data = report_to_dict(report)

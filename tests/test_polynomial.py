@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernocchi.polynomial import RationalPolynomial, X, interpolate
 
@@ -82,3 +84,46 @@ def test_interpolate_with_rational_nodes():
 def test_interpolate_rejects_duplicate_nodes():
     with pytest.raises(ValueError):
         interpolate([(1, 1), (1, 2)])
+
+
+def newton_interpolate(points):
+    """Reference: Newton divided differences and basis products in Fraction."""
+    xs = [Fraction(x) for x, _ in points]
+    newton = [Fraction(y) for _, y in points]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
+    result = RationalPolynomial()
+    basis = RationalPolynomial((1,))
+    for i in range(n):
+        result = result + newton[i] * basis
+        basis = basis * RationalPolynomial((-xs[i], 1))
+    return result
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def interpolation_points(draw):
+    """0..10 distinct rational nodes (signs and denominators mixed), rational values."""
+    size = draw(st.integers(0, 10))
+    nodes = draw(st.lists(rationals, min_size=size, max_size=size, unique=True))
+    values = draw(st.lists(rationals, min_size=size, max_size=size))
+    return list(zip(nodes, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interpolation_points())
+def test_interpolate_passes_through_every_point(points):
+    poly = interpolate(points)
+    assert poly.is_zero() or poly.degree < len(points)
+    for x, y in points:
+        assert poly(x) == y
+
+
+def test_interpolate_matches_newton_reference():
+    nodes = (Fraction(-7, 3), -2, Fraction(-1, 2), 0, Fraction(5, 6), 3, Fraction(17, 4))
+    points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(nodes)]
+    assert interpolate(points) == newton_interpolate(points)
