@@ -65,4 +65,20 @@ from .harness import (
     verify_range,
 )
 
+from . import formulas as _formulas, stirling as _stirling
+
 __version__ = "0.1.0"
+
+
+def reset_caches() -> None:
+    """Clear every process-global memo, so that the next computation runs cold.
+
+    The series oracle goes back to B_0, B_1 and its integer state to match;
+    the factorial and binomial memos, the series powers of the Stirling
+    series route and the shared Stirling rows are emptied.  No value
+    changes, only the time taken to reach it.
+    """
+    _formulas._reset_oracle()
+    factorial.cache_clear()
+    binomial.cache_clear()
+    _stirling._reset_memos()

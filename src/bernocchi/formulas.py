@@ -17,7 +17,8 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from .exact import binomial, factorial, int_pow
 from .polynomial import interpolate
@@ -80,24 +81,54 @@ _EVEN_ONLY = {
     FormulaId.DOUBLE_STIRLING_15,
 }
 
-# B_0, B_1, then grown on demand; guarded so concurrent growth stays consistent.
-_oracle_cache: list[Fraction] = [B0, B1]
+# B_0, B_1, then grown on demand.  Beside the values the recurrence keeps its
+# integer state: D = lcm of the denominators of the stored values, B_j * D
+# for each j, and the last Pascal row C(len(_oracle_cache), .).  All of it
+# is guarded by _oracle_lock, so concurrent growth stays consistent.
+_oracle_cache: list[Fraction] = []
+_oracle_den = 1
+_oracle_scaled: list[int] = []
+_oracle_row: list[int] = []
 _oracle_lock = threading.Lock()
+
+
+def _reset_oracle() -> None:
+    """Forget every oracle value past B_1; D = 2 scales them to 2 and -1."""
+    global _oracle_den, _oracle_scaled, _oracle_row
+    with _oracle_lock:
+        _oracle_cache[:] = [B0, B1]
+        _oracle_den = 2
+        _oracle_scaled = [2, -1]
+        _oracle_row = [1, 2, 1]
+
+
+_reset_oracle()
 
 
 def bernoulli_series_oracle(n: int) -> Fraction:
     """B_n from the generating-function recurrence sum_{j<=m} C(m+1,j) B_j = 0.
 
     Independent ground truth: uses no Stirling numbers and none of the
-    closed-form machinery below.
+    closed-form machinery below.  Each step sums C(m+1,j) * B_j * D in
+    integers, D being the common denominator so far, and reduces once:
+    B_m = -sum / ((m+1) * D).
     """
+    global _oracle_den, _oracle_scaled, _oracle_row
     if n < 0:
         raise ValueError("n must be nonnegative")
     with _oracle_lock:
         while len(_oracle_cache) <= n:
             m = len(_oracle_cache)
-            acc = sum(binomial(m + 1, j) * _oracle_cache[j] for j in range(m))
-            _oracle_cache.append(Fraction(-acc, m + 1))
+            _oracle_row = [1, *map(add, _oracle_row, _oracle_row[1:]), 1]
+            acc = sum(c * s for c, s in zip(_oracle_row, _oracle_scaled) if s)
+            value = Fraction(-acc, (m + 1) * _oracle_den)
+            den = value.denominator
+            if _oracle_den % den:
+                factor = den // gcd(_oracle_den, den)
+                _oracle_den *= factor
+                _oracle_scaled = [s * factor for s in _oracle_scaled]
+            _oracle_scaled.append(value.numerator * (_oracle_den // den))
+            _oracle_cache.append(value)
         return _oracle_cache[n]
 
 

@@ -11,9 +11,9 @@ and S(n,k) = 0 for k > n.
 """
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -127,12 +127,28 @@ def stirling_explicit(k: int, m: int) -> int:
     return quotient
 
 
-@lru_cache(maxsize=None)
+# (e^x - 1)^j at each truncation order, j = 0, 1, ... as far as requested.
+_expm1_powers: dict[int, list[TruncatedSeries]] = {}
+_expm1_lock = threading.Lock()
+
+
 def _expm1_power(k: int, order: int) -> TruncatedSeries:
-    if k == 0:
-        return TruncatedSeries.constant(order, 1)
-    base = exp_series(order) - TruncatedSeries.constant(order, 1)
-    return _expm1_power(k - 1, order) * base
+    """(e^x - 1)^k at the given order, built bottom-up from the highest kept power."""
+    with _expm1_lock:
+        powers = _expm1_powers.setdefault(order, [TruncatedSeries.constant(order, 1)])
+        if len(powers) <= k:
+            base = exp_series(order) - TruncatedSeries.constant(order, 1)
+            while len(powers) <= k:
+                powers.append(powers[-1] * base)
+        return powers[k]
+
+
+def _reset_memos() -> None:
+    """Forget the shared triangle rows past row 0 and every kept series power."""
+    with _shared_lock:
+        del _shared_rows[1:]
+    with _expm1_lock:
+        _expm1_powers.clear()
 
 
 def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
@@ -193,7 +209,13 @@ def _validate_triangle(triangle: StirlingTriangle) -> None:
 
 
 def triangle_save(triangle: StirlingTriangle, path: str | Path) -> None:
-    """Write the versioned plain-text cache format (see triangle_load)."""
+    """Write the versioned plain-text cache format (see triangle_load).
+
+    The text goes to a temporary file in the same directory, which then
+    replaces `path` in one step: a reader sees the old file or the new one,
+    never a partial write.
+    """
+    path = Path(path)
     lines = [f"{_FILE_MAGIC} {_FILE_VERSION} max_n={triangle.max_n}"]
     count = 0
     for n, row in enumerate(triangle.rows):
@@ -201,7 +223,13 @@ def triangle_save(triangle: StirlingTriangle, path: str | Path) -> None:
             lines.append(f"{n} {k} {value}")
             count += 1
     lines.append(f"END {count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        temp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def triangle_load(path: str | Path) -> StirlingTriangle:
@@ -243,12 +271,15 @@ def triangle_load(path: str | Path) -> StirlingTriangle:
     if declared != len(entries):
         raise TriangleFormatError(f"END declares {declared} rows, file has {len(entries)}")
 
-    rows: list[list[int]] = [[] for _ in range(max_n + 1)]
-    expected = [(n, k) for n in range(max_n + 1) for k in range(n + 1)]
-    if len(entries) != len(expected):
+    # Checked before anything is sized by the declared max_n, so a bad
+    # header costs nothing however large it claims the triangle to be.
+    size = (max_n + 1) * (max_n + 2) // 2
+    if len(entries) != size:
         raise TriangleInvariantError(
-            f"expected {len(expected)} entries for max_n={max_n}, found {len(entries)}"
+            f"expected {size} entries for max_n={max_n}, found {len(entries)}"
         )
+    rows: list[list[int]] = [[] for _ in range(max_n + 1)]
+    expected = ((n, k) for n in range(max_n + 1) for k in range(n + 1))
     for line, (want_n, want_k) in zip(entries, expected):
         parts = line.split()
         if len(parts) != 3:

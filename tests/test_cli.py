@@ -91,6 +91,13 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert digest == "d5a96d043476fcaf1db594cb41bed9ddd9f78628805f49651ea030a1f0aec010"
 
 
+def test_table_json_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "table", "bernoulli", "300", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9774743be824a0d965f52ab905c3f491a85babfbb9378631aba28f1b8eb02428"
+
+
 def test_verify_csv_layout(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "csv")
     assert code == 0

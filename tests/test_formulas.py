@@ -1,9 +1,11 @@
 """Bernoulli/Genocchi formulas against the independent series oracle."""
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
-from bernocchi.exact import int_pow
+from bernocchi import formulas, reset_caches, stirling
+from bernocchi.exact import binomial, factorial, int_pow
 from bernocchi.formulas import (
     B0,
     B1,
@@ -25,7 +27,7 @@ from bernocchi.formulas import (
     genocchi_theorem,
     is_applicable,
 )
-from bernocchi.stirling import shared_triangle
+from bernocchi.stirling import shared_triangle, stirling_via_series
 
 # Hand-unrolled values of the generating-function recurrence.
 KNOWN_BERNOULLI = {
@@ -77,8 +79,55 @@ def test_oracle_known_values():
 
 
 def test_oracle_odd_indices_vanish():
-    for n in range(3, 61, 2):
+    for n in range(3, 301, 2):
         assert bernoulli_series_oracle(n) == 0
+
+
+def _fraction_recurrence(n):
+    """B_0..B_n by the same recurrence as a chain of Fraction additions."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = sum(comb(m + 1, j) * values[j] for j in range(m))
+        values.append(Fraction(-acc, m + 1))
+    return values
+
+
+def test_oracle_equals_fraction_recurrence():
+    reference = _fraction_recurrence(300)
+    assert [bernoulli_series_oracle(n) for n in range(301)] == reference
+
+
+def test_oracle_denominators_follow_von_staudt_clausen():
+    # denom(B_2k) is the product of the primes p with (p - 1) | 2k.
+    primes = [p for p in range(2, 302) if all(p % d for d in range(2, p))]
+    for n in range(2, 301, 2):
+        value = bernoulli_series_oracle(n)
+        assert value.denominator == prod(p for p in primes if n % (p - 1) == 0)
+
+
+def test_oracle_grown_in_chunks_after_reset_equals_one_cold_call():
+    reset_caches()
+    bernoulli_series_oracle(300)
+    cold = [bernoulli_series_oracle(n) for n in range(301)]
+    reset_caches()
+    assert formulas._oracle_cache == [B0, B1]
+    for n in (0, 37, 38, 300):
+        bernoulli_series_oracle(n)
+    assert [bernoulli_series_oracle(n) for n in range(301)] == cold
+
+
+def test_reset_caches_empties_every_memo():
+    bernoulli_series_oracle(40)
+    factorial(30)
+    binomial(30, 7)
+    shared_triangle(30)
+    stirling_via_series(12, 5)
+    reset_caches()
+    assert len(formulas._oracle_cache) == 2
+    assert factorial.cache_info().currsize == 0
+    assert binomial.cache_info().currsize == 0
+    assert stirling._shared_rows == [(1,)]
+    assert stirling._expm1_powers == {}
 
 
 def test_higgins_examples():

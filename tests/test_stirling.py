@@ -1,6 +1,9 @@
 """Stirling triangle: three computation routes, enumeration oracle, disk format."""
+import sys
+
 import pytest
 
+from bernocchi import reset_caches
 from bernocchi.stirling import (
     TriangleFormatError,
     TriangleInvariantError,
@@ -84,6 +87,19 @@ def test_series_route_rejects_small_order():
         stirling_via_series(5, 2, order=4)
     with pytest.raises(ValueError):
         stirling_via_series(3, 0)
+
+
+def test_series_route_needs_no_stack_per_power():
+    reset_caches()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        assert stirling_via_series(60, 60) == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_three_routes_agree():
@@ -185,4 +201,22 @@ def test_load_garbled_entry(tmp_path):
     triangle_save(triangle_build(2), path)
     path.write_text(path.read_text().replace("2 1 1", "2 1 one"))
     with pytest.raises(TriangleFormatError):
+        triangle_load(path)
+
+
+def test_save_over_existing_file_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "triangle.txt"
+    triangle_save(triangle_build(3), path)
+    triangle_save(triangle_build(5), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["triangle.txt"]
+    assert triangle_load(path) == triangle_build(5)
+
+
+@pytest.mark.parametrize("max_n", [3000, 10**9])
+def test_load_rejects_size_before_allocating(tmp_path, max_n):
+    # A header claiming a huge triangle over an empty body must fail on the
+    # entry count, not after sizing anything by the claim.
+    path = tmp_path / "huge.txt"
+    path.write_text(f"STIRLING2 v1 max_n={max_n}\nEND 0\n")
+    with pytest.raises(TriangleInvariantError):
         triangle_load(path)
