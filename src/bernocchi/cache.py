@@ -1,19 +1,18 @@
-"""On-disk Stirling triangle cache location and reuse.
+"""Location of the on-disk Stirling triangle file.
 
 The cache directory comes from the BERNOCCHI_CACHE_DIR environment
 variable when set, otherwise from the platform cache convention
-(XDG_CACHE_HOME, falling back to ~/.cache).  The cache is a pure
-optimization: commands fall back to in-memory computation whenever the
-file is absent, too small, or unreadable, and results never differ.
+(XDG_CACHE_HOME, falling back to ~/.cache).  `cache build` writes the file
+for export and inspection; commands compute the rows they need in memory
+and never read it, since validating a loaded file costs as much as
+building its rows.
 """
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-from .stirling import StirlingTriangle, TriangleFileError, triangle_load
-
-__all__ = ["ENV_CACHE_DIR", "cache_dir", "cache_file", "load_cached_triangle"]
+__all__ = ["ENV_CACHE_DIR", "cache_dir", "cache_file"]
 
 ENV_CACHE_DIR = "BERNOCCHI_CACHE_DIR"
 _CACHE_FILENAME = "stirling2.txt"
@@ -31,16 +30,3 @@ def cache_dir() -> Path:
 def cache_file() -> Path:
     return cache_dir() / _CACHE_FILENAME
 
-
-def load_cached_triangle(min_rows: int) -> StirlingTriangle | None:
-    """Cached triangle with at least min_rows rows, or None if unusable."""
-    path = cache_file()
-    if not path.is_file():
-        return None
-    try:
-        triangle = triangle_load(path)
-    except (TriangleFileError, OSError, UnicodeDecodeError):
-        return None
-    if triangle.max_n < min_rows:
-        return None
-    return triangle

@@ -13,17 +13,11 @@ import os
 import sys
 from dataclasses import replace
 
-from .cache import cache_dir, cache_file, load_cached_triangle
+from .cache import cache_dir, cache_file
 from .exact import format_rational
-from .formulas import (
-    FormulaId,
-    bernoulli_series_oracle,
-    formula_value,
-    genocchi_theorem,
-    rows_needed,
-)
+from .formulas import FormulaId, bernoulli_series_oracle, formula_value, genocchi_theorem
 from .harness import Verdict, bench, report_to_json, verify_range
-from .stirling import StirlingTriangle, shared_triangle, triangle_build, triangle_save
+from .stirling import shared_triangle, triangle_build, triangle_save
 
 FORMATS = ("plain", "csv", "json")
 BENCH_HEADER = "formula,n,reps,median_ns,value"
@@ -78,13 +72,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _triangle_for(min_rows: int) -> StirlingTriangle:
-    cached = load_cached_triangle(min_rows)
-    if cached is not None:
-        return cached
-    return shared_triangle(min_rows)
-
-
 def _parse_formula(name: str) -> FormulaId:
     try:
         return FormulaId(name.upper())
@@ -95,8 +82,7 @@ def _parse_formula(name: str) -> FormulaId:
 
 def cmd_compute(args) -> int:
     fid = _parse_formula(args.formula)
-    triangle = _triangle_for(max(rows_needed(fid, args.n), 0))
-    value = format_rational(formula_value(fid, args.n, triangle))
+    value = format_rational(formula_value(fid, args.n))
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
@@ -110,8 +96,7 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
-    triangle = _triangle_for(max(2 * args.max_n, 1))
-    report = verify_range(args.max_n, triangle)
+    report = verify_range(args.max_n)
     if args.format == "json":
         print(report_to_json(report))
     elif args.format == "csv":
@@ -144,7 +129,7 @@ def cmd_table(args) -> int:
         raise ValueError("max_n must be nonnegative")
     kind = args.kind
     if kind == "stirling":
-        triangle = _triangle_for(args.max_n)
+        triangle = shared_triangle(args.max_n)
         rows = [triangle.row(n) for n in range(args.max_n + 1)]
         if args.format == "json":
             print(json.dumps({"kind": kind, "rows": [list(row) for row in rows]}, indent=2))
@@ -161,7 +146,7 @@ def cmd_table(args) -> int:
     if kind == "bernoulli":
         entries = [(n, bernoulli_series_oracle(n)) for n in range(args.max_n + 1)]
     else:
-        triangle = _triangle_for(args.max_n)
+        triangle = shared_triangle(args.max_n)
         entries = [(n, genocchi_theorem(n, triangle)) for n in range(1, args.max_n + 1)]
     if args.format == "json":
         rows = [{"n": n, "value": format_rational(v)} for n, v in entries]
@@ -191,10 +176,7 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     trusted = [fid for fid in FormulaId if fid.trusted]
-    indices = _bench_indices(args.max_n)
-    needed = max((rows_needed(fid, n) for fid in trusted for n in indices), default=1)
-    triangle = _triangle_for(max(needed, 1))
-    records = bench(trusted, indices, args.reps, triangle)
+    records = bench(trusted, _bench_indices(args.max_n), args.reps)
     if args.deterministic:
         records = [replace(r, median_ns=0) for r in records]
     if args.format == "json":

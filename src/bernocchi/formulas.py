@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
 from .exact import binomial, factorial, int_pow
-from .polynomial import interpolate
+from .polynomial import RationalPolynomial, interpolate
 from .stirling import StirlingTriangle, shared_triangle
 
 __all__ = [
@@ -68,18 +69,12 @@ class FormulaId(enum.Enum):
 
     @property
     def trusted(self) -> bool:
-        return self is not FormulaId.TANGENT_DOUBLE_14_AS_PRINTED
+        return _REGISTRY[self].trusted
 
     @property
     def even_only(self) -> bool:
-        return self in _EVEN_ONLY
+        return _REGISTRY[self].even_only
 
-
-_EVEN_ONLY = {
-    FormulaId.FAULHABER_RECURSION_13,
-    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED,
-    FormulaId.DOUBLE_STIRLING_15,
-}
 
 # B_0, B_1, then grown on demand.  Beside the values the recurrence keeps its
 # integer state: D = lcm of the denominators of the stored values, B_j * D
@@ -197,21 +192,17 @@ def bernoulli_stirling_ratio(n: int, triangle: StirlingTriangle | None = None) -
     )
 
 
-@dataclass(frozen=True)
-class FaulhaberTable:
+class FaulhaberTable(RationalPolynomial):
     """Coefficients A_0..A_{p+1} with sum_{m=1..n} m^p = sum_m A_m n^m for all n >= 0."""
 
-    exponent: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def coefficient(self, m: int) -> Fraction:
-        return self.coefficients[m]
+    @property
+    def exponent(self) -> int:
+        """p, read off the degree p + 1 (A_{p+1} = 1/(p+1) is never 0)."""
+        return len(self.coefficients) - 2
 
-    def evaluate(self, n: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
+    evaluate = RationalPolynomial.__call__
 
 
 def faulhaber_coefficients(p: int) -> FaulhaberTable:
@@ -228,9 +219,7 @@ def faulhaber_coefficients(p: int) -> FaulhaberTable:
         if n:
             running += int_pow(n, p)
         points.append((n, running))
-    poly = interpolate(points)
-    coeffs = tuple(poly.coefficient(m) for m in range(p + 2))
-    return FaulhaberTable(p, coeffs)
+    return FaulhaberTable(interpolate(points).coefficients)
 
 
 def bernoulli_faulhaber_recursion(k: int) -> Fraction:
@@ -339,52 +328,74 @@ def euler_at_zero(n: int) -> Fraction:
     return genocchi_theorem(2 * n) / (2 * n)
 
 
+@dataclass(frozen=True)
+class _Formula:
+    """One registry row.  `evaluate(n, triangle)` maps the index n to the
+    function's own argument; `rows(n)` is the highest Stirling row read at n;
+    a `genocchi` value is G_n and moves to the Bernoulli scale for comparison."""
+
+    evaluate: Callable[[int, StirlingTriangle | None], Fraction]
+    lowest: int = 0
+    even_only: bool = False
+    rows: Callable[[int], int] = lambda n: 0
+    trusted: bool = True
+    genocchi: bool = False
+
+
+# Each entry calls its function by module-global name, so a wrapper put on
+# that name (a profiler, a test double) is the one called.
+_REGISTRY: dict[FormulaId, _Formula] = {
+    FormulaId.SERIES_ORACLE: _Formula(lambda n, t: bernoulli_series_oracle(n)),
+    FormulaId.HIGGINS_9: _Formula(lambda n, t: bernoulli_higgins(n)),
+    FormulaId.STIRLING_SINGLE_10: _Formula(
+        lambda n, t: bernoulli_stirling_single(n, t), rows=lambda n: n
+    ),
+    FormulaId.GOULD_DOUBLE_11: _Formula(lambda n, t: bernoulli_gould_double(n)),
+    FormulaId.STIRLING_RATIO_12: _Formula(
+        lambda n, t: bernoulli_stirling_ratio(n, t), rows=lambda n: 2 * n
+    ),
+    FormulaId.FAULHABER_RECURSION_13: _Formula(
+        lambda n, t: bernoulli_faulhaber_recursion(n // 2), lowest=2, even_only=True
+    ),
+    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: _Formula(
+        lambda n, t: bernoulli_tangent_double_as_printed(n // 2),
+        lowest=2,
+        even_only=True,
+        trusted=False,
+    ),
+    FormulaId.DOUBLE_STIRLING_15: _Formula(
+        lambda n, t: bernoulli_double_stirling(n // 2, t),
+        lowest=2,
+        even_only=True,
+        rows=lambda n: n + 1,
+    ),
+    FormulaId.GENOCCHI_THEOREM_16: _Formula(
+        lambda n, t: genocchi_theorem(n, t), lowest=1, rows=lambda n: n, genocchi=True
+    ),
+}
+
+
 def is_applicable(formula: FormulaId, n: int) -> bool:
     """Whether the formula is defined at index n (no reinterpreted indices)."""
-    if n < 0:
-        return False
-    if formula in _EVEN_ONLY:
-        return n >= 2 and n % 2 == 0
-    if formula is FormulaId.GENOCCHI_THEOREM_16:
-        return n >= 1
-    return True
+    entry = _REGISTRY[formula]
+    return n >= entry.lowest and not (entry.even_only and n % 2)
 
 
 def rows_needed(formula: FormulaId, n: int) -> int:
     """Highest Stirling row the formula touches at index n."""
-    if formula is FormulaId.STIRLING_RATIO_12:
-        return 2 * n
-    if formula is FormulaId.DOUBLE_STIRLING_15:
-        return n + 1
-    if formula in (FormulaId.STIRLING_SINGLE_10, FormulaId.GENOCCHI_THEOREM_16):
-        return n
-    return 0
+    return _REGISTRY[formula].rows(n)
 
 
 def formula_value(formula: FormulaId, n: int, triangle: StirlingTriangle | None = None) -> Fraction:
     """The formula's own value at index n: B_n for the Bernoulli formulas
-    (index n = 2k for the even-only ones), G_n for GENOCCHI_THEOREM_16."""
+    (index n = 2k for the even-only ones), G_n for GENOCCHI_THEOREM_16.
+
+    Without a triangle, a Stirling formula takes its rows from the shared
+    triangle; an inapplicable n is rejected before any row is built.
+    """
     if not is_applicable(formula, n):
         raise ValueError(f"{formula.value} is not applicable at n={n}")
-    if formula is FormulaId.SERIES_ORACLE:
-        return bernoulli_series_oracle(n)
-    if formula is FormulaId.HIGGINS_9:
-        return bernoulli_higgins(n)
-    if formula is FormulaId.STIRLING_SINGLE_10:
-        return bernoulli_stirling_single(n, triangle)
-    if formula is FormulaId.GOULD_DOUBLE_11:
-        return bernoulli_gould_double(n)
-    if formula is FormulaId.STIRLING_RATIO_12:
-        return bernoulli_stirling_ratio(n, triangle)
-    if formula is FormulaId.FAULHABER_RECURSION_13:
-        return bernoulli_faulhaber_recursion(n // 2)
-    if formula is FormulaId.TANGENT_DOUBLE_14_AS_PRINTED:
-        return bernoulli_tangent_double_as_printed(n // 2)
-    if formula is FormulaId.DOUBLE_STIRLING_15:
-        return bernoulli_double_stirling(n // 2, triangle)
-    if formula is FormulaId.GENOCCHI_THEOREM_16:
-        return genocchi_theorem(n, triangle)
-    raise ValueError(f"unknown formula {formula!r}")
+    return _REGISTRY[formula].evaluate(n, triangle)
 
 
 def formula_bernoulli_value(
@@ -392,10 +403,8 @@ def formula_bernoulli_value(
 ) -> Fraction:
     """The formula's value on the Bernoulli scale, for cross-formula comparison.
 
-    Identical to :func:`formula_value` except that the Genocchi formula is
+    Identical to :func:`formula_value` except that a Genocchi value is
     carried over to B_n through B_n = G_n / (2(1-2^n)).
     """
     value = formula_value(formula, n, triangle)
-    if formula is FormulaId.GENOCCHI_THEOREM_16:
-        return bernoulli_from_genocchi(n, value)
-    return value
+    return bernoulli_from_genocchi(n, value) if _REGISTRY[formula].genocchi else value

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bernocchi
+from bernocchi import reset_caches, stirling
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
 
@@ -36,6 +39,14 @@ def test_compute_inapplicable_index(capsys):
     assert code == 1
     assert out == ""
     assert "not applicable" in err
+
+
+def test_compute_rejects_inapplicable_index_before_building_rows(capsys):
+    reset_caches()
+    code, out, err = run(capsys, "compute", "DOUBLE_STIRLING_15", "1201")
+    assert (code, out) == (1, "")
+    assert "not applicable" in err
+    assert len(stirling._shared_rows) == 1
 
 
 def test_compute_unknown_formula(capsys):
@@ -226,6 +237,35 @@ def test_cache_ignores_corrupt_file(capsys):
     code, out, _ = run(capsys, "table", "stirling", "4")
     assert code == 0
     assert out.splitlines()[-1] == "0,1,7,6,1"  # falls back to computing
+
+
+NO_CACHE_COMMANDS = [
+    ("compute", "HIGGINS_9", "10"),
+    ("compute", "STIRLING_RATIO_12", "6"),
+    ("verify", "--max-n", "6"),
+    ("table", "genocchi", "6"),
+    ("table", "stirling", "6"),
+    ("bench", "--max-n", "8", "--deterministic"),
+]
+
+
+def test_no_command_reads_the_cache_file(capsys, monkeypatch):
+    without_file = [run(capsys, *argv) for argv in NO_CACHE_COMMANDS]
+    assert run(capsys, "cache", "build", "12")[0] == 0
+    read_text = Path.read_text
+
+    def guarded_read_text(self, *args, **kwargs):
+        if self == cache_file():
+            raise AssertionError(f"{self} was read")
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", guarded_read_text)
+    with pytest.raises(AssertionError):
+        cache_file().read_text()
+    for argv, expected in zip(NO_CACHE_COMMANDS, without_file):
+        code, out, _ = run(capsys, *argv)
+        assert code == expected[0] == 0, argv
+        assert out == expected[1], argv
 
 
 def test_cache_unwritable_directory(capsys, tmp_path, monkeypatch):

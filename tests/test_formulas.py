@@ -26,6 +26,7 @@ from bernocchi.formulas import (
     genocchi_from_bernoulli,
     genocchi_theorem,
     is_applicable,
+    rows_needed,
 )
 from bernocchi.stirling import shared_triangle, stirling_via_series
 
@@ -58,6 +59,33 @@ KNOWN_GENOCCHI = {
     14: -38227,
     16: 929569,
     18: -28820619,
+}
+
+# The registry as the README states it: trusted, even_only, then
+# is_applicable ("+"/"-") and rows_needed at n = -1, 0, 1, ..., 8.
+REGISTRY = {
+    FormulaId.SERIES_ORACLE: (True, False, "-+++++++++", [0] * 10),
+    FormulaId.HIGGINS_9: (True, False, "-+++++++++", [0] * 10),
+    FormulaId.STIRLING_SINGLE_10: (True, False, "-+++++++++", list(range(-1, 9))),
+    FormulaId.GOULD_DOUBLE_11: (True, False, "-+++++++++", [0] * 10),
+    FormulaId.STIRLING_RATIO_12: (True, False, "-+++++++++", list(range(-2, 17, 2))),
+    FormulaId.FAULHABER_RECURSION_13: (True, True, "---+-+-+-+", [0] * 10),
+    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: (False, True, "---+-+-+-+", [0] * 10),
+    FormulaId.DOUBLE_STIRLING_15: (True, True, "---+-+-+-+", list(range(0, 10))),
+    FormulaId.GENOCCHI_THEOREM_16: (True, False, "--++++++++", list(range(-1, 9))),
+}
+
+# Each formula's own function, and whether it takes n or n // 2.
+DIRECT = {
+    FormulaId.SERIES_ORACLE: (bernoulli_series_oracle, False),
+    FormulaId.HIGGINS_9: (bernoulli_higgins, False),
+    FormulaId.STIRLING_SINGLE_10: (bernoulli_stirling_single, False),
+    FormulaId.GOULD_DOUBLE_11: (bernoulli_gould_double, False),
+    FormulaId.STIRLING_RATIO_12: (bernoulli_stirling_ratio, False),
+    FormulaId.FAULHABER_RECURSION_13: (bernoulli_faulhaber_recursion, True),
+    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: (bernoulli_tangent_double_as_printed, True),
+    FormulaId.DOUBLE_STIRLING_15: (bernoulli_double_stirling, True),
+    FormulaId.GENOCCHI_THEOREM_16: (genocchi_theorem, False),
 }
 
 TRUSTED_BERNOULLI_FORMULAS = [
@@ -277,6 +305,9 @@ def test_formula_registry_flags():
         FormulaId.TANGENT_DOUBLE_14_AS_PRINTED,
         FormulaId.DOUBLE_STIRLING_15,
     }
+    assert list(REGISTRY) == list(FormulaId)
+    for fid, (trusted, even_only, _, _) in REGISTRY.items():
+        assert (fid.trusted, fid.even_only) == (trusted, even_only), fid
 
 
 def test_applicability():
@@ -287,6 +318,9 @@ def test_applicability():
     assert not is_applicable(FormulaId.FAULHABER_RECURSION_13, 0)
     assert is_applicable(FormulaId.FAULHABER_RECURSION_13, 4)
     assert not is_applicable(FormulaId.HIGGINS_9, -1)
+    for fid, (_, _, applicable, rows) in REGISTRY.items():
+        assert "".join("+" if is_applicable(fid, n) else "-" for n in range(-1, 9)) == applicable, fid
+        assert [rows_needed(fid, n) for n in range(-1, 9)] == rows, fid
 
 
 def test_formula_value_dispatch():
@@ -296,6 +330,17 @@ def test_formula_value_dispatch():
     assert formula_value(FormulaId.FAULHABER_RECURSION_13, 4) == Fraction(-1, 30)
     with pytest.raises(ValueError):
         formula_value(FormulaId.FAULHABER_RECURSION_13, 3)
+    for fid, (function, halved) in DIRECT.items():
+        for n in (1, 2, 4, 7, 12):
+            if not is_applicable(fid, n):
+                with pytest.raises(ValueError):
+                    formula_value(fid, n)
+                continue
+            direct = function(n // 2 if halved else n)
+            assert formula_value(fid, n) == direct, (fid, n)
+            assert formula_value(fid, n, triangle) == direct, (fid, n)
+            bridged = bernoulli_from_genocchi(n, direct) if function is genocchi_theorem else direct
+            assert formula_bernoulli_value(fid, n, triangle) == bridged, (fid, n)
 
 
 def test_formula_bernoulli_value_bridges_genocchi():
