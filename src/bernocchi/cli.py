@@ -146,8 +146,7 @@ def cmd_table(args) -> int:
     if kind == "bernoulli":
         entries = [(n, bernoulli_series_oracle(n)) for n in range(args.max_n + 1)]
     else:
-        triangle = shared_triangle(args.max_n)
-        entries = [(n, genocchi_theorem(n, triangle)) for n in range(1, args.max_n + 1)]
+        entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
     if args.format == "json":
         rows = [{"n": n, "value": format_rational(v)} for n, v in entries]
         print(json.dumps({"kind": kind, "rows": rows}, indent=2))

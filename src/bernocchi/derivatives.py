@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exact import factorial
 from .polynomial import RationalPolynomial, X
-from .stirling import StirlingTriangle, shared_triangle
+from .stirling import shared_triangle
 
 __all__ = [
     "DerivativeRule",
@@ -66,13 +66,11 @@ def derivative_polynomial(k: int, alpha: Fraction | int) -> RationalPolynomial:
     return reciprocal_expm1_rule(alpha).iterate(k)
 
 
-def derivative_polynomial_reference(
-    k: int, alpha: Fraction | int, triangle: StirlingTriangle | None = None
-) -> RationalPolynomial:
+def derivative_polynomial_reference(k: int, alpha: Fraction | int) -> RationalPolynomial:
     """Closed form (-1)^k alpha^k sum_{m=1..k+1} (m-1)! S(k+1,m) x^m."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    t = triangle if triangle is not None else shared_triangle(k + 1)
+    t = shared_triangle(k + 1)
     scale = Fraction(alpha) ** k * (-1) ** k
     coeffs = [Fraction(0)] + [
         scale * factorial(m - 1) * t.value(k + 1, m) for m in range(1, k + 2)
@@ -85,13 +83,11 @@ def logistic_derivative_polynomial(k: int) -> RationalPolynomial:
     return LOGISTIC_RULE.iterate(k)
 
 
-def logistic_derivative_polynomial_reference(
-    k: int, triangle: StirlingTriangle | None = None
-) -> RationalPolynomial:
+def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
     """Closed form (-1)^(k+1) sum_{m=1..k+1} (-1)^m (m-1)! S(k+1,m) x^m."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    t = triangle if triangle is not None else shared_triangle(k + 1)
+    t = shared_triangle(k + 1)
     sign = (-1) ** (k + 1)
     coeffs = [Fraction(0)] + [
         sign * (-1) ** m * factorial(m - 1) * t.value(k + 1, m) for m in range(1, k + 2)

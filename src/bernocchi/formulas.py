@@ -23,7 +23,7 @@ from operator import add
 
 from .exact import binomial, factorial, int_pow
 from .polynomial import RationalPolynomial, interpolate
-from .stirling import StirlingTriangle, shared_triangle
+from .stirling import shared_triangle
 
 __all__ = [
     "FormulaId",
@@ -44,7 +44,6 @@ __all__ = [
     "bernoulli_from_genocchi",
     "euler_at_zero",
     "is_applicable",
-    "rows_needed",
     "formula_value",
     "formula_bernoulli_value",
 ]
@@ -130,24 +129,27 @@ def bernoulli_series_oracle(n: int) -> Fraction:
 def bernoulli_higgins(n: int) -> Fraction:
     """B_n = sum_{k=0..n} 1/(k+1) * sum_{j=0..k} (-1)^j C(k,j) j^n, with 0^0 = 1.
 
-    Summed in integers over the common denominator lcm(1..n+1), reduced once.
+    The inner sum is (-1)^k times the k-th forward difference of j^n at 0,
+    read off one difference table of 0^n, 1^n, ..., n^n that is replaced by
+    its own differences once per k.  Summed in integers over the common
+    denominator lcm(1..n+1), reduced once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    signed_powers = [(-1) ** j * int_pow(j, n) for j in range(n + 1)]
+    diffs = [int_pow(j, n) for j in range(n + 1)]
     common = lcm(*range(1, n + 2))
     total = 0
     for k in range(n + 1):
-        inner = sum(binomial(k, j) * signed_powers[j] for j in range(k + 1))
-        total += inner * (common // (k + 1))
+        total += (-1) ** k * diffs[0] * (common // (k + 1))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return Fraction(total, common)
 
 
-def bernoulli_stirling_single(n: int, triangle: StirlingTriangle | None = None) -> Fraction:
+def bernoulli_stirling_single(n: int) -> Fraction:
     """B_n = sum_{k=0..n} (-1)^k k!/(k+1) S(n,k)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = triangle if triangle is not None else shared_triangle(n)
+    t = shared_triangle(n)
     return sum(
         (Fraction((-1) ** k * factorial(k), k + 1) * t.value(n, k) for k in range(n + 1)),
         Fraction(0),
@@ -178,11 +180,11 @@ def bernoulli_gould_double(n: int) -> Fraction:
     return Fraction(total, common)
 
 
-def bernoulli_stirling_ratio(n: int, triangle: StirlingTriangle | None = None) -> Fraction:
+def bernoulli_stirling_ratio(n: int) -> Fraction:
     """B_n = sum_{i=0..n} (-1)^i C(n+1,i+1)/C(n+i,i) * S(n+i,i); needs rows up to 2n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = triangle if triangle is not None else shared_triangle(2 * n)
+    t = shared_triangle(2 * n)
     return sum(
         (
             (-1) ** i * Fraction(binomial(n + 1, i + 1), binomial(n + i, i)) * t.value(n + i, i)
@@ -260,13 +262,13 @@ def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
     return prefactor * inner
 
 
-def bernoulli_double_stirling(k: int, triangle: StirlingTriangle | None = None) -> Fraction:
+def bernoulli_double_stirling(k: int) -> Fraction:
     """B_{2k} = 1 + sum_{m=1..2k-1} S(2k+1,m+1) S(2k,2k-m) / C(2k,m)
     - 2k/(2k+1) * sum_{m=1..2k} S(2k,m) S(2k+1,2k-m+1) / C(2k,m-1);
     needs rows up to 2k+1."""
     if k < 1:
         raise ValueError("k must be positive")
-    t = triangle if triangle is not None else shared_triangle(2 * k + 1)
+    t = shared_triangle(2 * k + 1)
     n2 = 2 * k
     first = sum(
         (
@@ -285,7 +287,7 @@ def bernoulli_double_stirling(k: int, triangle: StirlingTriangle | None = None) 
     return 1 + first - Fraction(n2, n2 + 1) * second
 
 
-def genocchi_theorem(k: int, triangle: StirlingTriangle | None = None) -> Fraction:
+def genocchi_theorem(k: int) -> Fraction:
     """G_k = (-1)^k k sum_{m=1..k} (-1)^m (m-1)!/2^(m-1) S(k,m).
 
     The result always reduces to an integer; a non-integer outcome signals
@@ -293,7 +295,7 @@ def genocchi_theorem(k: int, triangle: StirlingTriangle | None = None) -> Fracti
     """
     if k < 1:
         raise ValueError("k must be positive")
-    t = triangle if triangle is not None else shared_triangle(k)
+    t = shared_triangle(k)
     total = sum(
         (
             (-1) ** m * Fraction(factorial(m - 1), 1 << (m - 1)) * t.value(k, m)
@@ -330,14 +332,13 @@ def euler_at_zero(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class _Formula:
-    """One registry row.  `evaluate(n, triangle)` maps the index n to the
-    function's own argument; `rows(n)` is the highest Stirling row read at n;
-    a `genocchi` value is G_n and moves to the Bernoulli scale for comparison."""
+    """One registry row.  `evaluate(n)` maps the index n to the function's
+    own argument; a `genocchi` value is G_n and moves to the Bernoulli scale
+    for comparison."""
 
-    evaluate: Callable[[int, StirlingTriangle | None], Fraction]
+    evaluate: Callable[[int], Fraction]
     lowest: int = 0
     even_only: bool = False
-    rows: Callable[[int], int] = lambda n: 0
     trusted: bool = True
     genocchi: bool = False
 
@@ -345,33 +346,24 @@ class _Formula:
 # Each entry calls its function by module-global name, so a wrapper put on
 # that name (a profiler, a test double) is the one called.
 _REGISTRY: dict[FormulaId, _Formula] = {
-    FormulaId.SERIES_ORACLE: _Formula(lambda n, t: bernoulli_series_oracle(n)),
-    FormulaId.HIGGINS_9: _Formula(lambda n, t: bernoulli_higgins(n)),
-    FormulaId.STIRLING_SINGLE_10: _Formula(
-        lambda n, t: bernoulli_stirling_single(n, t), rows=lambda n: n
-    ),
-    FormulaId.GOULD_DOUBLE_11: _Formula(lambda n, t: bernoulli_gould_double(n)),
-    FormulaId.STIRLING_RATIO_12: _Formula(
-        lambda n, t: bernoulli_stirling_ratio(n, t), rows=lambda n: 2 * n
-    ),
+    FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n)),
+    FormulaId.HIGGINS_9: _Formula(lambda n: bernoulli_higgins(n)),
+    FormulaId.STIRLING_SINGLE_10: _Formula(lambda n: bernoulli_stirling_single(n)),
+    FormulaId.GOULD_DOUBLE_11: _Formula(lambda n: bernoulli_gould_double(n)),
+    FormulaId.STIRLING_RATIO_12: _Formula(lambda n: bernoulli_stirling_ratio(n)),
     FormulaId.FAULHABER_RECURSION_13: _Formula(
-        lambda n, t: bernoulli_faulhaber_recursion(n // 2), lowest=2, even_only=True
+        lambda n: bernoulli_faulhaber_recursion(n // 2), lowest=2, even_only=True
     ),
     FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: _Formula(
-        lambda n, t: bernoulli_tangent_double_as_printed(n // 2),
+        lambda n: bernoulli_tangent_double_as_printed(n // 2),
         lowest=2,
         even_only=True,
         trusted=False,
     ),
     FormulaId.DOUBLE_STIRLING_15: _Formula(
-        lambda n, t: bernoulli_double_stirling(n // 2, t),
-        lowest=2,
-        even_only=True,
-        rows=lambda n: n + 1,
+        lambda n: bernoulli_double_stirling(n // 2), lowest=2, even_only=True
     ),
-    FormulaId.GENOCCHI_THEOREM_16: _Formula(
-        lambda n, t: genocchi_theorem(n, t), lowest=1, rows=lambda n: n, genocchi=True
-    ),
+    FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), lowest=1, genocchi=True),
 }
 
 
@@ -381,30 +373,23 @@ def is_applicable(formula: FormulaId, n: int) -> bool:
     return n >= entry.lowest and not (entry.even_only and n % 2)
 
 
-def rows_needed(formula: FormulaId, n: int) -> int:
-    """Highest Stirling row the formula touches at index n."""
-    return _REGISTRY[formula].rows(n)
-
-
-def formula_value(formula: FormulaId, n: int, triangle: StirlingTriangle | None = None) -> Fraction:
+def formula_value(formula: FormulaId, n: int) -> Fraction:
     """The formula's own value at index n: B_n for the Bernoulli formulas
     (index n = 2k for the even-only ones), G_n for GENOCCHI_THEOREM_16.
 
-    Without a triangle, a Stirling formula takes its rows from the shared
-    triangle; an inapplicable n is rejected before any row is built.
+    A Stirling formula takes its rows from the shared triangle; an
+    inapplicable n is rejected before any row is built.
     """
     if not is_applicable(formula, n):
         raise ValueError(f"{formula.value} is not applicable at n={n}")
-    return _REGISTRY[formula].evaluate(n, triangle)
+    return _REGISTRY[formula].evaluate(n)
 
 
-def formula_bernoulli_value(
-    formula: FormulaId, n: int, triangle: StirlingTriangle | None = None
-) -> Fraction:
+def formula_bernoulli_value(formula: FormulaId, n: int) -> Fraction:
     """The formula's value on the Bernoulli scale, for cross-formula comparison.
 
     Identical to :func:`formula_value` except that a Genocchi value is
     carried over to B_n through B_n = G_n / (2(1-2^n)).
     """
-    value = formula_value(formula, n, triangle)
+    value = formula_value(formula, n)
     return bernoulli_from_genocchi(n, value) if _REGISTRY[formula].genocchi else value

@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import format_rational
-from .formulas import (
-    FormulaId,
-    formula_bernoulli_value,
-    is_applicable,
-    rows_needed,
-)
-from .stirling import StirlingTriangle, shared_triangle
+from .formulas import FormulaId, formula_bernoulli_value, is_applicable
 
 __all__ = [
     "FormulaEvaluation",
@@ -89,25 +83,16 @@ class BenchRecord:
     value: str
 
 
-def _triangle_for_range(max_n: int) -> StirlingTriangle:
-    return shared_triangle(max(2 * max_n, 1))
-
-
-def evaluate_all(n: int, triangle: StirlingTriangle) -> list[FormulaEvaluation]:
+def evaluate_all(n: int) -> list[FormulaEvaluation]:
     """Evaluate every applicable formula at index n, on the Bernoulli scale."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     applicable = [fid for fid in FormulaId if is_applicable(fid, n)]
-    needed = max(rows_needed(fid, n) for fid in applicable)
-    if triangle.max_n < needed:
-        raise ValueError(
-            f"triangle holds rows up to {triangle.max_n}, index {n} needs {needed}"
-        )
     evaluations = []
     for fid in applicable:
         start = time.perf_counter_ns()
         try:
-            value = formula_bernoulli_value(fid, n, triangle)
+            value = formula_bernoulli_value(fid, n)
             error = None
         except Exception as exc:  # captured per record, never aborts the sweep
             value = None
@@ -138,15 +123,14 @@ def _record_for(n: int, evaluations: Sequence[FormulaEvaluation]) -> IndexRecord
     return IndexRecord(n, consensus, tuple(agreeing), tuple(dissenting))
 
 
-def verify_range(max_n: int, triangle: StirlingTriangle | None = None) -> VerificationReport:
+def verify_range(max_n: int) -> VerificationReport:
     """Differential report over indices 0..max_n.
 
     The report content is deterministic and carries no timing fields.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    t = triangle if triangle is not None else _triangle_for_range(max_n)
-    records = tuple(_record_for(n, evaluate_all(n, t)) for n in range(max_n + 1))
+    records = tuple(_record_for(n, evaluate_all(n)) for n in range(max_n + 1))
     agreements = sum(len(r.agreeing) for r in records)
     dissents = sum(len(r.dissenting) for r in records)
     trusted_dissent = any(
@@ -157,10 +141,7 @@ def verify_range(max_n: int, triangle: StirlingTriangle | None = None) -> Verifi
 
 
 def bench(
-    formulas: Iterable[FormulaId],
-    n_values: Iterable[int],
-    repetitions: int,
-    triangle: StirlingTriangle | None = None,
+    formulas: Iterable[FormulaId], n_values: Iterable[int], repetitions: int
 ) -> list[BenchRecord]:
     """Median wall-clock timings over the (formula, n) cross product.
 
@@ -169,27 +150,18 @@ def bench(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    formulas = list(formulas)
     n_values = list(n_values)
-    if not formulas or not n_values:
-        return []
-    t = triangle
-    if t is None:
-        needed = max(
-            max((rows_needed(fid, n) for fid in formulas), default=0) for n in n_values
-        )
-        t = shared_triangle(max(needed, max(n_values)))
     records = []
     for fid in formulas:
         for n in n_values:
             if not is_applicable(fid, n):
                 raise ValueError(f"{fid.value} is not applicable at n={n}")
-            formula_bernoulli_value(fid, n, t)  # warm-up, excluded
+            formula_bernoulli_value(fid, n)  # warm-up, excluded
             times = []
             digests = set()
             for _ in range(repetitions):
                 start = time.perf_counter_ns()
-                value = formula_bernoulli_value(fid, n, t)
+                value = formula_bernoulli_value(fid, n)
                 times.append(time.perf_counter_ns() - start)
                 digests.add(format_rational(value))
             if len(digests) != 1:

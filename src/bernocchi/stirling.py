@@ -74,6 +74,8 @@ class StirlingTriangle:
         return self.rows[n][k]
 
     def row(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise ValueError("row index must be nonnegative")
         if n > self.max_n:
             raise ValueError(f"triangle holds rows up to {self.max_n}, row {n} requested")
         return self.rows[n]

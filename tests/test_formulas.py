@@ -26,7 +26,6 @@ from bernocchi.formulas import (
     genocchi_from_bernoulli,
     genocchi_theorem,
     is_applicable,
-    rows_needed,
 )
 from bernocchi.stirling import shared_triangle, stirling_via_series
 
@@ -62,7 +61,7 @@ KNOWN_GENOCCHI = {
 }
 
 # The registry as the README states it: trusted, even_only, then
-# is_applicable ("+"/"-") and rows_needed at n = -1, 0, 1, ..., 8.
+# is_applicable ("+"/"-") and the highest Stirling row read at n = -1, 0, 1, ..., 8.
 REGISTRY = {
     FormulaId.SERIES_ORACLE: (True, False, "-+++++++++", [0] * 10),
     FormulaId.HIGGINS_9: (True, False, "-+++++++++", [0] * 10),
@@ -162,6 +161,8 @@ def test_higgins_examples():
     assert bernoulli_higgins(0) == 1
     assert bernoulli_higgins(2) == Fraction(1, 6)
     assert bernoulli_higgins(3) == 0
+    for n in range(121):
+        assert bernoulli_higgins(n) == bernoulli_series_oracle(n)
 
 
 def test_stirling_single_examples():
@@ -276,16 +277,15 @@ def test_euler_at_zero():
 
 def test_all_trusted_formulas_agree_with_oracle():
     limit = 24  # the full sweep to 60 runs in the acceptance suite
-    triangle = shared_triangle(2 * limit + 1)
     for n in range(limit + 1):
         oracle = bernoulli_series_oracle(n)
         assert bernoulli_higgins(n) == oracle
-        assert bernoulli_stirling_single(n, triangle) == oracle
+        assert bernoulli_stirling_single(n) == oracle
         assert bernoulli_gould_double(n) == oracle
-        assert bernoulli_stirling_ratio(n, triangle) == oracle
+        assert bernoulli_stirling_ratio(n) == oracle
         if n >= 2 and n % 2 == 0:
             assert bernoulli_faulhaber_recursion(n // 2) == oracle
-            assert bernoulli_double_stirling(n // 2, triangle) == oracle
+            assert bernoulli_double_stirling(n // 2) == oracle
 
 
 @pytest.mark.parametrize("n", [64, 100])
@@ -320,13 +320,20 @@ def test_applicability():
     assert not is_applicable(FormulaId.HIGGINS_9, -1)
     for fid, (_, _, applicable, rows) in REGISTRY.items():
         assert "".join("+" if is_applicable(fid, n) else "-" for n in range(-1, 9)) == applicable, fid
-        assert [rows_needed(fid, n) for n in range(-1, 9)] == rows, fid
+        # A formula grows the shared triangle to exactly the rows it reads.
+        # Each rows column is linear in n, so it extends past n = 8.
+        for n in (*range(9), 33, 64):
+            if not is_applicable(fid, n):
+                continue
+            expected = rows[n + 1] if n < 9 else rows[-1] + (n - 8) * (rows[-1] - rows[-2])
+            reset_caches()
+            formula_value(fid, n)
+            assert len(stirling._shared_rows) == expected + 1, (fid, n)
 
 
 def test_formula_value_dispatch():
-    triangle = shared_triangle(24)
-    assert formula_value(FormulaId.GENOCCHI_THEOREM_16, 12, triangle) == 2073
-    assert formula_value(FormulaId.STIRLING_SINGLE_10, 1, triangle) == Fraction(-1, 2)
+    assert formula_value(FormulaId.GENOCCHI_THEOREM_16, 12) == 2073
+    assert formula_value(FormulaId.STIRLING_SINGLE_10, 1) == Fraction(-1, 2)
     assert formula_value(FormulaId.FAULHABER_RECURSION_13, 4) == Fraction(-1, 30)
     with pytest.raises(ValueError):
         formula_value(FormulaId.FAULHABER_RECURSION_13, 3)
@@ -338,9 +345,8 @@ def test_formula_value_dispatch():
                 continue
             direct = function(n // 2 if halved else n)
             assert formula_value(fid, n) == direct, (fid, n)
-            assert formula_value(fid, n, triangle) == direct, (fid, n)
             bridged = bernoulli_from_genocchi(n, direct) if function is genocchi_theorem else direct
-            assert formula_bernoulli_value(fid, n, triangle) == bridged, (fid, n)
+            assert formula_bernoulli_value(fid, n) == bridged, (fid, n)
 
 
 def test_formula_bernoulli_value_bridges_genocchi():

@@ -13,11 +13,10 @@ from bernocchi.harness import (
     report_to_json,
     verify_range,
 )
-from bernocchi.stirling import shared_triangle, triangle_build
 
 
 def test_evaluate_all_at_two():
-    evals = {e.formula: e for e in evaluate_all(2, shared_triangle(5))}
+    evals = {e.formula: e for e in evaluate_all(2)}
     sixth = Fraction(1, 6)
     for fid, e in evals.items():
         assert e.ok
@@ -29,7 +28,7 @@ def test_evaluate_all_at_two():
 
 
 def test_evaluate_all_at_zero():
-    evals = evaluate_all(0, shared_triangle(1))
+    evals = evaluate_all(0)
     assert {e.formula for e in evals} == {
         FormulaId.SERIES_ORACLE,
         FormulaId.HIGGINS_9,
@@ -41,7 +40,7 @@ def test_evaluate_all_at_zero():
 
 
 def test_evaluate_all_at_odd_index():
-    evals = evaluate_all(7, shared_triangle(14))
+    evals = evaluate_all(7)
     ids = {e.formula for e in evals}
     assert FormulaId.FAULHABER_RECURSION_13 not in ids
     assert FormulaId.TANGENT_DOUBLE_14_AS_PRINTED not in ids
@@ -49,13 +48,8 @@ def test_evaluate_all_at_odd_index():
     assert all(e.value == 0 for e in evals)
 
 
-def test_evaluate_all_rejects_insufficient_triangle():
-    with pytest.raises(ValueError):
-        evaluate_all(10, triangle_build(5))
-
-
 def test_evaluate_all_records_timing():
-    evals = evaluate_all(4, shared_triangle(9))
+    evals = evaluate_all(4)
     assert all(e.elapsed_ns >= 0 for e in evals)
 
 

@@ -65,6 +65,8 @@ def test_triangle_value_conventions():
         t.value(6, 1)  # row not built
     with pytest.raises(ValueError):
         t.value(-1, 0)
+    with pytest.raises(ValueError):
+        t.row(-1)
 
 
 def test_explicit_sum_values():
