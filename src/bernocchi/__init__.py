@@ -74,11 +74,8 @@ def reset_caches() -> None:
     """Clear every process-global memo, so that the next computation runs cold.
 
     The series oracle goes back to B_0, B_1 and its integer state to match;
-    the factorial and binomial memos, the series powers of the Stirling
-    series route and the shared Stirling rows are emptied.  No value
-    changes, only the time taken to reach it.
+    the series powers of the Stirling series route and the shared Stirling
+    rows are emptied.  No value changes, only the time taken to reach it.
     """
     _formulas._reset_oracle()
-    factorial.cache_clear()
-    binomial.cache_clear()
     _stirling._reset_memos()

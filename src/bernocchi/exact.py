@@ -3,13 +3,16 @@
 Integers are plain Python ``int`` (unbounded, exact).  Rationals are
 ``fractions.Fraction``, which is always stored reduced with a positive
 denominator, so structural equality is mathematical equality.
+``factorial`` and ``binomial`` are ``math.factorial`` and ``math.comb``:
+both raise ValueError on negative input, and C(n, k) = 0 for k > n.  They
+keep no memo; a loop that needs many of them carries its own running
+product or Pascal row.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial as _factorial
+from math import comb as binomial, factorial
 
 __all__ = [
     "rat",
@@ -49,22 +52,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    """n! with factorial(0) == 1."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return _factorial(n)
-
-
-@lru_cache(maxsize=None)
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n, by convention."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return comb(n, k)
 
 
 def int_pow(base: int, exp: int) -> int:

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .exact import binomial, factorial, int_pow
 from .polynomial import RationalPolynomial, interpolate
@@ -146,14 +146,20 @@ def bernoulli_higgins(n: int) -> Fraction:
 
 
 def bernoulli_stirling_single(n: int) -> Fraction:
-    """B_n = sum_{k=0..n} (-1)^k k!/(k+1) S(n,k)."""
+    """B_n = sum_{k=0..n} (-1)^k k!/(k+1) S(n,k).
+
+    Summed in integers over the common denominator lcm(1..n+1), with
+    (-1)^k k! carried from one term to the next, and reduced once.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = shared_triangle(n)
-    return sum(
-        (Fraction((-1) ** k * factorial(k), k + 1) * t.value(n, k) for k in range(n + 1)),
-        Fraction(0),
-    )
+    common = lcm(*range(1, n + 2))
+    signed_factorial = 1  # (-1)^k k!
+    total = 0
+    for k, stirling in enumerate(shared_triangle(n).row(n)):
+        total += signed_factorial * (common // (k + 1)) * stirling
+        signed_factorial *= -(k + 1)
+    return Fraction(total, common)
 
 
 def bernoulli_gould_double(n: int) -> Fraction:
@@ -163,20 +169,24 @@ def bernoulli_gould_double(n: int) -> Fraction:
 
     Summed in integers over the common denominator (2n)!/n!, so term j is
     weighted by the integer (2n)!/(n+j)!, and reduced once.  The signs
-    combine to (-1)^j (-1)^(j-k) = (-1)^k.
+    combine to (-1)^j (-1)^(j-k) = (-1)^k.  C(j, .) is a Pascal row and
+    C(n+1, j+1) a running product, both advanced once per j.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     common = factorial(2 * n) // factorial(n)
     weight = common  # (2n)!/(n+j)!
+    outer = n + 1  # C(n+1, j+1)
+    row = [1]  # C(j, 0..j)
     signed_powers = [(-1) ** k * int_pow(k, n) for k in range(n + 1)]  # (-1)^k k^(n+j)
     total = 0
     for j in range(n + 1):
         if j:
             weight //= n + j
+            row = [1, *map(add, row, row[1:]), 1]
             signed_powers = [k * p for k, p in enumerate(signed_powers)]
-        inner = sum(binomial(j, k) * signed_powers[k] for k in range(j + 1))
-        total += binomial(n + 1, j + 1) * weight * inner
+        total += outer * weight * sum(map(mul, row, signed_powers))
+        outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)
 
 
@@ -253,8 +263,9 @@ def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be positive")
+    row = [binomial(2 * k, l) for l in range(k)]  # C(2k, 0..k-1)
     inner = sum(
-        (-1) ** (i + l) * binomial(2 * k, l) * int_pow(k - i - l, 2 * k - 1)
+        (-1) ** (i + l) * row[l] * int_pow(k - i - l, 2 * k - 1)
         for i in range(k)
         for l in range(k - i)
     )
@@ -290,23 +301,24 @@ def bernoulli_double_stirling(k: int) -> Fraction:
 def genocchi_theorem(k: int) -> Fraction:
     """G_k = (-1)^k k sum_{m=1..k} (-1)^m (m-1)!/2^(m-1) S(k,m).
 
-    The result always reduces to an integer; a non-integer outcome signals
+    Summed in integers as k sum_m (-1)^m (m-1)! 2^(k-m) S(k,m), with
+    (-1)^m (m-1)! carried from one term to the next, then divided once by
+    2^(k-1).  The result always reduces to an integer; a remainder signals
     an implementation bug and raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    t = shared_triangle(k)
-    total = sum(
-        (
-            (-1) ** m * Fraction(factorial(m - 1), 1 << (m - 1)) * t.value(k, m)
-            for m in range(1, k + 1)
-        ),
-        Fraction(0),
-    )
-    value = (-1) ** k * k * total
-    if value.denominator != 1:
-        raise ArithmeticError(f"G_{k} came out non-integer: {value}")
-    return value
+    row = shared_triangle(k).row(k)
+    signed_factorial = -1  # (-1)^m (m-1)!
+    total = 0
+    for m in range(1, k + 1):
+        total += signed_factorial * (row[m] << (k - m))
+        signed_factorial *= -m
+    scaled = (-1) ** k * k * total  # G_k * 2^(k-1)
+    value, remainder = divmod(scaled, 1 << (k - 1))
+    if remainder:
+        raise ArithmeticError(f"G_{k} came out non-integer: {Fraction(scaled, 1 << (k - 1))}")
+    return Fraction(value)
 
 
 def genocchi_from_bernoulli(n: int, b: Fraction) -> Fraction:

@@ -165,6 +165,8 @@ def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
         order = n
     if order < n:
         raise ValueError(f"series order {order} too small for coefficient {n}")
+    if k > n:
+        return 0  # (e^x - 1)^k starts at x^k
     coeff = _expm1_power(k, order).coefficient(n)
     value = coeff * factorial(n) / factorial(k)
     if value.denominator != 1:

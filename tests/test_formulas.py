@@ -27,7 +27,7 @@ from bernocchi.formulas import (
     genocchi_theorem,
     is_applicable,
 )
-from bernocchi.stirling import shared_triangle, stirling_via_series
+from bernocchi.stirling import StirlingTriangle, shared_triangle, stirling_via_series
 
 # Hand-unrolled values of the generating-function recurrence.
 KNOWN_BERNOULLI = {
@@ -151,8 +151,6 @@ def test_reset_caches_empties_every_memo():
     stirling_via_series(12, 5)
     reset_caches()
     assert len(formulas._oracle_cache) == 2
-    assert factorial.cache_info().currsize == 0
-    assert binomial.cache_info().currsize == 0
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_powers == {}
 
@@ -262,11 +260,24 @@ def test_bernoulli_from_genocchi():
 
 
 def test_genocchi_bridge_round_trip():
-    for k in range(1, 41):
+    for k in range(1, 301):
         oracle = bernoulli_series_oracle(k)
         g = genocchi_theorem(k)
         assert g == genocchi_from_bernoulli(k, oracle)
         assert bernoulli_from_genocchi(k, g) == oracle
+
+
+def test_genocchi_theorem_rejects_a_non_integer_sum(monkeypatch):
+    # 2^(k-1) does not divide k (m-1)! 2^(k-m) for odd k and m >= 2, so
+    # one more partition in S(7,4) leaves a remainder.
+    k, m = 7, 4
+    rows = list(shared_triangle(k).rows)
+    rows[k] = rows[k][:m] + (rows[k][m] + 1,) + rows[k][m + 1 :]
+    monkeypatch.setattr(
+        formulas, "shared_triangle", lambda n: StirlingTriangle(n, tuple(rows[: n + 1]))
+    )
+    with pytest.raises(ArithmeticError, match=f"G_{k} "):
+        genocchi_theorem(k)
 
 
 def test_euler_at_zero():
@@ -294,6 +305,9 @@ def test_integer_kernels_agree_with_oracle_at_large_n(n):
     assert bernoulli_higgins(n) == oracle
     assert bernoulli_gould_double(n) == oracle
     assert bernoulli_faulhaber_recursion(n // 2) == oracle
+    assert bernoulli_stirling_single(n) == oracle
+    assert bernoulli_double_stirling(n // 2) == oracle
+    assert genocchi_theorem(n) == genocchi_from_bernoulli(n, oracle)
 
 
 def test_formula_registry_flags():

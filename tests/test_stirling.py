@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bernocchi import reset_caches
+from bernocchi import reset_caches, stirling
 from bernocchi.stirling import (
     TriangleFormatError,
     TriangleInvariantError,
@@ -89,6 +89,14 @@ def test_series_route_rejects_small_order():
         stirling_via_series(5, 2, order=4)
     with pytest.raises(ValueError):
         stirling_via_series(3, 0)
+
+
+def test_series_route_answers_above_the_diagonal_without_building_powers():
+    reset_caches()
+    stirling_via_series(3, 2)
+    kept = {order: len(powers) for order, powers in stirling._expm1_powers.items()}
+    assert stirling_via_series(3, 10**4) == 0
+    assert {order: len(powers) for order, powers in stirling._expm1_powers.items()} == kept
 
 
 def test_series_route_needs_no_stack_per_power():
