@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact import factorial
 from .polynomial import RationalPolynomial, X
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 
+def _integer_form(p: RationalPolynomial) -> tuple[int, list[int]]:
+    """(e, s) with p = s/e: e the lcm of the denominators, s integer coefficients."""
+    e = lcm(*(c.denominator for c in p.coefficients))
+    return e, [c.numerator * (e // c.denominator) for c in p.coefficients]
+
+
 @dataclass(frozen=True)
 class DerivativeRule:
     """Image of d/dt on the indeterminate: p maps to p' * substitution_factor."""
@@ -39,15 +46,29 @@ class DerivativeRule:
     substitution_factor: RationalPolynomial
 
     def apply(self, p: RationalPolynomial) -> RationalPolynomial:
-        return p.derivative() * self.substitution_factor
+        return self.iterate(1, p)
 
     def iterate(self, k: int, start: RationalPolynomial = X) -> RationalPolynomial:
+        """The rule applied k times to start, in integers.
+
+        With the factor written c*F (F primitive with integer coefficients)
+        and the start s/e (s integer), the k-th iterate is (c^k/e) q_k where
+        q_0 = s and q_(i+1) = q_i' F, so only the final scaling is rational.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        p = start
+        d, f = _integer_form(self.substitution_factor)
+        g = gcd(*f)
+        terms = [(j, b // g) for j, b in enumerate(f) if b]
+        e, q = _integer_form(start)
         for _ in range(k):
-            p = self.apply(p)
-        return p
+            dq = [i * a for i, a in enumerate(q) if i]
+            q = [0] * (len(dq) + len(f) - 1) if dq and f else []
+            for j, b in terms:
+                for i, a in enumerate(dq, j):
+                    q[i] += b * a
+        scale = Fraction(g, d) ** k / e
+        return RationalPolynomial(scale * a for a in q)
 
 
 def reciprocal_expm1_rule(alpha: Fraction | int) -> DerivativeRule:
@@ -98,12 +119,23 @@ def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
 def genocchi_from_derivatives(k: int) -> Fraction:
     """G_k = 2k times the (k-1)-th logistic derivative polynomial evaluated at 1/2.
 
-    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1); the result
-    must be an integer.
+    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1).  With d the
+    degree and c_m the coefficients (integers for this rule),
+    2^d p(1/2) = sum_m c_m 2^(d-m), so 2k times that sum is divided once by
+    2^d.  G_k is an integer, so a remainder signals a bug and raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    value = 2 * k * logistic_derivative_polynomial(k - 1)(Fraction(1, 2))
-    if value.denominator != 1:
-        raise ArithmeticError(f"G_{k} via derivative polynomials came out non-integer: {value}")
-    return value
+    p = logistic_derivative_polynomial(k - 1)
+    e, coefficients = _integer_form(p)
+    total = 0
+    for c in coefficients:  # sum_m c_m 2^(d-m), by Horner from c_0
+        total = 2 * total + c
+    scaled = 2 * k * total
+    divisor = e << p.degree
+    value, remainder = divmod(scaled, divisor)
+    if remainder:
+        raise ArithmeticError(
+            f"G_{k} via derivative polynomials came out non-integer: {Fraction(scaled, divisor)}"
+        )
+    return Fraction(value)

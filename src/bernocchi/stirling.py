@@ -14,11 +14,11 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from operator import add, mul
 from pathlib import Path
 from typing import Iterator
 
 from .exact import binomial, factorial, int_pow
-from .series import TruncatedSeries, exp_series
 
 __all__ = [
     "StirlingTriangle",
@@ -129,24 +129,34 @@ def stirling_explicit(k: int, m: int) -> int:
     return quotient
 
 
-# (e^x - 1)^j at each truncation order, j = 0, 1, ... as far as requested.
-_expm1_powers: dict[int, list[TruncatedSeries]] = {}
+# Powers (e^x - 1)^j at each truncation order, j = 0, 1, ... as far as
+# requested, each stored in the exponential basis: entry i is
+# i! [x^i] (e^x - 1)^j, an integer.
+_expm1_powers: dict[int, list[list[int]]] = {}
 _expm1_lock = threading.Lock()
 
 
-def _expm1_power(k: int, order: int) -> TruncatedSeries:
-    """(e^x - 1)^k at the given order, built bottom-up from the highest kept power."""
+def _expm1_power(k: int, order: int) -> list[int]:
+    """i! [x^i] (e^x - 1)^k for i = 0..order, built up from the highest kept power.
+
+    In the exponential basis, multiplying by e^x - 1 is the binomial
+    convolution a'_i = sum_{j<i} C(i,j) a_j (Concrete Mathematics, 7.6),
+    with C(i, .) one Pascal row advanced by addition.
+    """
     with _expm1_lock:
-        powers = _expm1_powers.setdefault(order, [TruncatedSeries.constant(order, 1)])
-        if len(powers) <= k:
-            base = exp_series(order) - TruncatedSeries.constant(order, 1)
-            while len(powers) <= k:
-                powers.append(powers[-1] * base)
+        powers = _expm1_powers.setdefault(order, [[1] + [0] * order])
+        while len(powers) <= k:
+            a, low = powers[-1], len(powers) - 1  # a_j = 0 for j < low
+            product, row = [0] * (order + 1), [1]
+            for i in range(1, order + 1):
+                row = [1, *map(add, row, row[1:]), 1]
+                product[i] = sum(map(mul, row[low:i], a[low:i]))
+            powers.append(product)
         return powers[k]
 
 
 def _reset_memos() -> None:
-    """Forget the shared triangle rows past row 0 and every kept series power."""
+    """Forget the shared triangle rows past row 0 and every kept power of e^x - 1."""
     with _shared_lock:
         del _shared_rows[1:]
     with _expm1_lock:
@@ -157,7 +167,9 @@ def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
     """S(n, k) as n! times the x^n coefficient of (e^x - 1)^k / k!.
 
     The series is truncated at `order` (defaults to n); an explicit order
-    below n cannot hold the requested coefficient and is rejected.
+    below n cannot hold the requested coefficient and is rejected.  The
+    power is kept n!-scaled in integers, so S(n, k) is one exact division
+    by k!; a remainder signals a bug and raises.
     """
     if n < 0 or k < 1:
         raise ValueError("requires n >= 0 and k >= 1")
@@ -167,11 +179,10 @@ def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
         raise ValueError(f"series order {order} too small for coefficient {n}")
     if k > n:
         return 0  # (e^x - 1)^k starts at x^k
-    coeff = _expm1_power(k, order).coefficient(n)
-    value = coeff * factorial(n) / factorial(k)
-    if value.denominator != 1:
-        raise ArithmeticError(f"series route for S({n},{k}) gave non-integer {value}")
-    return value.numerator
+    value, remainder = divmod(_expm1_power(k, order)[n], factorial(k))
+    if remainder:
+        raise ArithmeticError(f"series route for S({n},{k}) is not divisible by {k}!")
+    return value
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

@@ -2,9 +2,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bernocchi import derivatives
 from bernocchi.derivatives import (
     LOGISTIC_RULE,
+    DerivativeRule,
     derivative_polynomial,
     derivative_polynomial_reference,
     genocchi_from_derivatives,
@@ -63,6 +67,19 @@ def test_alpha_scaling():
             assert derivative_polynomial(k, alpha) == Fraction(alpha) ** k * base
 
 
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+polynomials = st.lists(rationals, max_size=5).map(RationalPolynomial)
+
+
+@given(polynomials, polynomials, st.integers(min_value=0, max_value=6))
+def test_iterate_matches_fraction_loop(factor, start, k):
+    # Covers zero factors and starts, negative and non-integer content.
+    expected = start
+    for _ in range(k):
+        expected = expected.derivative() * factor
+    assert DerivativeRule(factor).iterate(k, start) == expected
+
+
 def test_rule_iterate_rejects_negative():
     with pytest.raises(ValueError):
         reciprocal_expm1_rule(1).iterate(-1)
@@ -77,3 +94,15 @@ def test_genocchi_from_derivatives_examples():
 def test_genocchi_from_derivatives_matches_theorem():
     for k in range(1, 16):  # the sweep to 30 runs in the acceptance suite
         assert genocchi_from_derivatives(k) == genocchi_theorem(k)
+
+
+def test_genocchi_from_derivatives_raises_on_a_remainder(monkeypatch):
+    good = derivatives.logistic_derivative_polynomial
+
+    def off_by_one(k):
+        p = good(k)
+        return p + RationalPolynomial([0] * p.degree + [1])  # adds 2k/2^d to G_k
+
+    monkeypatch.setattr(derivatives, "logistic_derivative_polynomial", off_by_one)
+    with pytest.raises(ArithmeticError, match="G_7 "):
+        genocchi_from_derivatives(7)

@@ -123,6 +123,25 @@ def test_three_routes_agree():
                 assert stirling_via_series(n, k, order=limit) == value
 
 
+def test_series_route_matches_the_triangle_on_large_rows():
+    t = triangle_build(120)
+    for n in (100, 120):
+        assert tuple(stirling_via_series(n, k) for k in range(1, n + 1)) == t.row(n)[1:]
+
+
+def test_series_route_raises_on_a_remainder(monkeypatch):
+    good = stirling._expm1_power
+
+    def off_by_one(k, order):
+        power = list(good(k, order))
+        power[order] += 1
+        return power
+
+    monkeypatch.setattr(stirling, "_expm1_power", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"S\(9,4\)"):
+        stirling_via_series(9, 4)
+
+
 def test_row_sums_satisfy_bell_recurrence():
     from bernocchi.exact import binomial
 
