@@ -74,9 +74,9 @@ def reset_caches() -> None:
     """Clear every process-global memo, so that the next computation runs cold.
 
     The series oracle goes back to B_0, B_1 and its integer state to match;
-    the integer powers of e^x - 1 kept by the Stirling series route and the
-    shared Stirling rows are emptied.  No value changes, only the time taken
-    to reach it.
+    the rows of e^x - 1 powers kept by the Stirling series route and the
+    shared Stirling rows go back to row 0.  No value changes, only the time
+    taken to reach it.
     """
     _formulas._reset_oracle()
     _stirling._reset_memos()

@@ -23,7 +23,7 @@ __all__ = [
     "int_pow",
 ]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat(num: int, den: int = 1) -> Fraction:
@@ -46,7 +46,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; rejects anything but "p" or "p/q"."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from operator import add, mul
 from pathlib import Path
 from typing import Iterator
 
@@ -129,57 +128,55 @@ def stirling_explicit(k: int, m: int) -> int:
     return quotient
 
 
-# Powers (e^x - 1)^j at each truncation order, j = 0, 1, ... as far as
-# requested, each stored in the exponential basis: entry i is
-# i! [x^i] (e^x - 1)^j, an integer.
-_expm1_powers: dict[int, list[list[int]]] = {}
+# Row i holds i! [x^i] (e^x - 1)^j for j = 0..i, the powers of e^x - 1 in
+# the exponential basis.  No entry depends on a truncation order, so one
+# triangle serves every request and grows only with n.
+_expm1_rows: list[list[int]] = [[1]]
 _expm1_lock = threading.Lock()
 
 
-def _expm1_power(k: int, order: int) -> list[int]:
-    """i! [x^i] (e^x - 1)^k for i = 0..order, built up from the highest kept power.
+def _expm1_row(n: int) -> list[int]:
+    """n! [x^n] (e^x - 1)^j for j = 0..n, grown from the highest kept row.
 
     In the exponential basis, multiplying by e^x - 1 is the binomial
-    convolution a'_i = sum_{j<i} C(i,j) a_j (Concrete Mathematics, 7.6),
-    with C(i, .) one Pascal row advanced by addition.
+    convolution a'_i = sum_{m<i} C(i,m) a_m (Concrete Mathematics, 7.6),
+    so row i is sum_{m<i} C(i,m) times row m moved up one power.
     """
     with _expm1_lock:
-        powers = _expm1_powers.setdefault(order, [[1] + [0] * order])
-        while len(powers) <= k:
-            a, low = powers[-1], len(powers) - 1  # a_j = 0 for j < low
-            product, row = [0] * (order + 1), [1]
-            for i in range(1, order + 1):
-                row = [1, *map(add, row, row[1:]), 1]
-                product[i] = sum(map(mul, row[low:i], a[low:i]))
-            powers.append(product)
-        return powers[k]
+        for i in range(len(_expm1_rows), n + 1):
+            row = [0] * (i + 1)
+            for m, prev in enumerate(_expm1_rows):
+                c = binomial(i, m)
+                for j, a in enumerate(prev, 1):
+                    row[j] += c * a
+            _expm1_rows.append(row)
+        return _expm1_rows[n]
 
 
 def _reset_memos() -> None:
-    """Forget the shared triangle rows past row 0 and every kept power of e^x - 1."""
+    """Forget the shared triangle rows and the rows of e^x - 1 powers past row 0."""
     with _shared_lock:
         del _shared_rows[1:]
     with _expm1_lock:
-        _expm1_powers.clear()
+        del _expm1_rows[1:]
 
 
 def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
     """S(n, k) as n! times the x^n coefficient of (e^x - 1)^k / k!.
 
-    The series is truncated at `order` (defaults to n); an explicit order
-    below n cannot hold the requested coefficient and is rejected.  The
-    power is kept n!-scaled in integers, so S(n, k) is one exact division
-    by k!; a remainder signals a bug and raises.
+    The series is truncated at `order` (defaults to n).  The order is only
+    checked: one below n cannot hold the requested coefficient and is
+    rejected.  It selects no memo, since the kept rows do not depend on it.
+    The power is kept n!-scaled in integers, so S(n, k) is one exact
+    division by k!; a remainder signals a bug and raises.
     """
     if n < 0 or k < 1:
         raise ValueError("requires n >= 0 and k >= 1")
-    if order is None:
-        order = n
-    if order < n:
+    if order is not None and order < n:
         raise ValueError(f"series order {order} too small for coefficient {n}")
     if k > n:
         return 0  # (e^x - 1)^k starts at x^k
-    value, remainder = divmod(_expm1_power(k, order)[n], factorial(k))
+    value, remainder = divmod(_expm1_row(n)[k], factorial(k))
     if remainder:
         raise ArithmeticError(f"series route for S({n},{k}) is not divisible by {k}!")
     return value
@@ -256,7 +253,10 @@ def triangle_load(path: str | Path) -> StirlingTriangle:
     TriangleVersionError for an unsupported version, and
     TriangleInvariantError when the parsed numbers violate an invariant.
     """
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise TriangleFormatError("file is not ASCII text") from None
     lines = text.splitlines()
     if not lines:
         raise TriangleFormatError("empty file")

@@ -145,6 +145,6 @@ def test_parse_rational_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for text in ("", "1.5", "a/b", "1/–2", "1/0", "1/-2", " 1/2"):
+    for text in ("", "1.5", "a/b", "1/–2", "1/0", "1/-2", " 1/2", "1/2\n", "\u0663"):
         with pytest.raises(ValueError):
             parse_rational(text)

@@ -94,9 +94,9 @@ def test_series_route_rejects_small_order():
 def test_series_route_answers_above_the_diagonal_without_building_powers():
     reset_caches()
     stirling_via_series(3, 2)
-    kept = {order: len(powers) for order, powers in stirling._expm1_powers.items()}
+    kept = len(stirling._expm1_rows)
     assert stirling_via_series(3, 10**4) == 0
-    assert {order: len(powers) for order, powers in stirling._expm1_powers.items()} == kept
+    assert len(stirling._expm1_rows) == kept
 
 
 def test_series_route_needs_no_stack_per_power():
@@ -129,15 +129,27 @@ def test_series_route_matches_the_triangle_on_large_rows():
         assert tuple(stirling_via_series(n, k) for k in range(1, n + 1)) == t.row(n)[1:]
 
 
+def test_series_route_memo_holds_one_row_per_n_whatever_the_order():
+    reset_caches()
+    for n in range(1, 121):
+        stirling_via_series(n, max(1, n // 2))
+    stirling_via_series(60, 30, order=120)
+    assert len(stirling._expm1_rows) == 121
+    t = triangle_build(120)
+    for n in range(121):
+        for k in range(1, n + 1):
+            assert stirling_via_series(n, k) == t.value(n, k)
+
+
 def test_series_route_raises_on_a_remainder(monkeypatch):
-    good = stirling._expm1_power
+    good = stirling._expm1_row
 
-    def off_by_one(k, order):
-        power = list(good(k, order))
-        power[order] += 1
-        return power
+    def off_by_one(n):
+        row = list(good(n))
+        row[4] += 1
+        return row
 
-    monkeypatch.setattr(stirling, "_expm1_power", off_by_one)
+    monkeypatch.setattr(stirling, "_expm1_row", off_by_one)
     with pytest.raises(ArithmeticError, match=r"S\(9,4\)"):
         stirling_via_series(9, 4)
 
@@ -229,6 +241,13 @@ def test_load_garbled_entry(tmp_path):
     path = tmp_path / "garbled.txt"
     triangle_save(triangle_build(2), path)
     path.write_text(path.read_text().replace("2 1 1", "2 1 one"))
+    with pytest.raises(TriangleFormatError):
+        triangle_load(path)
+
+
+def test_load_non_ascii_file(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "STIRLING2 v1 max_n=0\n0 0 1\nEND 1\n".encode("utf-16-le"))
     with pytest.raises(TriangleFormatError):
         triangle_load(path)
 
