@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .exact import binomial, factorial, int_pow
+from .exact import factorial, int_pow
 from .polynomial import RationalPolynomial, interpolate
 from .stirling import shared_triangle
 
@@ -191,17 +191,28 @@ def bernoulli_gould_double(n: int) -> Fraction:
 
 
 def bernoulli_stirling_ratio(n: int) -> Fraction:
-    """B_n = sum_{i=0..n} (-1)^i C(n+1,i+1)/C(n+i,i) * S(n+i,i); needs rows up to 2n."""
+    """B_n = sum_{i=0..n} (-1)^i C(n+1,i+1)/C(n+i,i) * S(n+i,i); needs rows up to 2n.
+
+    Since 1/C(n+i,i) = i! n!/(n+i)!, the sum is taken in integers over the
+    common denominator (2n)!/n!: term i is weighted by
+    (-1)^i C(n+1,i+1) i! (2n)!/(n+i)!, each factor carried from one term to
+    the next, and the result is reduced once.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = shared_triangle(2 * n)
-    return sum(
-        (
-            (-1) ** i * Fraction(binomial(n + 1, i + 1), binomial(n + i, i)) * t.value(n + i, i)
-            for i in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    rows = shared_triangle(2 * n).rows
+    common = factorial(2 * n) // factorial(n)
+    weight = common  # (2n)!/(n+i)!
+    outer = n + 1  # C(n+1, i+1)
+    signed_factorial = 1  # (-1)^i i!
+    total = 0
+    for i in range(n + 1):
+        if i:
+            weight //= n + i
+        total += outer * signed_factorial * weight * rows[n + i][i]
+        outer = outer * (n - i) // (i + 2)
+        signed_factorial *= -(i + 1)
+    return Fraction(total, common)
 
 
 class FaulhaberTable(RationalPolynomial):
@@ -260,15 +271,21 @@ def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
     This is NOT necessarily B_{2k}: it yields 1/3 at k=1 where B_2 = 1/6.
     The harness classifies the disagreement; we never silently repair a
     printed formula.
+
+    The printed terms are summed grouped by j = i + l, as
+    sum_{j<k} (-1)^j (k-j)^(2k-1) sum_{l<=j} C(2k,l), with C(2k,j) and the
+    partial row sum carried from one j to the next: the same terms and the
+    same value, in another order.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    row = [binomial(2 * k, l) for l in range(k)]  # C(2k, 0..k-1)
-    inner = sum(
-        (-1) ** (i + l) * row[l] * int_pow(k - i - l, 2 * k - 1)
-        for i in range(k)
-        for l in range(k - i)
-    )
+    entry = 1  # C(2k, j)
+    partial = 0  # sum_{l<=j} C(2k, l)
+    inner = 0
+    for j in range(k):
+        partial += entry
+        inner += (-1) ** j * partial * int_pow(k - j, 2 * k - 1)
+        entry = entry * (2 * k - j) // (j + 1)
     prefactor = Fraction((-1) ** (k - 1) * k, (1 << (2 * (k - 1))) * ((1 << (2 * k)) - 1))
     return prefactor * inner
 
@@ -276,26 +293,25 @@ def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
 def bernoulli_double_stirling(k: int) -> Fraction:
     """B_{2k} = 1 + sum_{m=1..2k-1} S(2k+1,m+1) S(2k,2k-m) / C(2k,m)
     - 2k/(2k+1) * sum_{m=1..2k} S(2k,m) S(2k+1,2k-m+1) / C(2k,m-1);
-    needs rows up to 2k+1."""
+    needs rows up to 2k+1.
+
+    Since 1/C(2k,m) = m! (2k-m)!/(2k)!, both sums are (2k)! times integer
+    sums F and S over one list of factorials, and
+    B_{2k} = ((2k+1)((2k)! + F) - 2k S) / (2k+1)!, reduced once.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    t = shared_triangle(2 * k + 1)
+    rows = shared_triangle(2 * k + 1).rows
     n2 = 2 * k
-    first = sum(
-        (
-            Fraction(t.value(n2 + 1, m + 1) * t.value(n2, n2 - m), binomial(n2, m))
-            for m in range(1, n2)
-        ),
-        Fraction(0),
-    )
+    fact = [1]  # 0!..(2k+1)!
+    for i in range(1, n2 + 2):
+        fact.append(fact[-1] * i)
+    even, odd = rows[n2], rows[n2 + 1]
+    first = sum(odd[m + 1] * even[n2 - m] * fact[m] * fact[n2 - m] for m in range(1, n2))
     second = sum(
-        (
-            Fraction(t.value(n2, m) * t.value(n2 + 1, n2 - m + 1), binomial(n2, m - 1))
-            for m in range(1, n2 + 1)
-        ),
-        Fraction(0),
+        even[m] * odd[n2 - m + 1] * fact[m - 1] * fact[n2 - m + 1] for m in range(1, n2 + 1)
     )
-    return 1 + first - Fraction(n2, n2 + 1) * second
+    return Fraction((n2 + 1) * (fact[n2] + first) - n2 * second, fact[n2 + 1])
 
 
 def genocchi_theorem(k: int) -> Fraction:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = ["RationalPolynomial", "X", "interpolate"]
@@ -114,13 +114,19 @@ X = RationalPolynomial((0, 1))
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RationalPolynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Lagrange form over one common denominator, in integers throughout.
-    With nodes scaled to integers X_i = d*x_i and values to Y_i = e*y_i
-    (d, e the lcms of the denominators), M(t) = prod_j (t - X_j) and
-    W_i = prod_{j != i} (X_i - X_j), the integer polynomial
-    N(t) = sum_i Y_i (L/W_i) M(t)/(t - X_i) with L = lcm_i |W_i| gives
-    coefficient m of the result as N_m d^m / (L e).  The abscissas must be
-    pairwise distinct.
+    Newton form over one common denominator, in integers throughout.
+    Nodes are scaled to integers X_i = d*x_i and values to Y_i = e*y_i
+    (d, e the lcms of the denominators).  Level j of the divided
+    differences is kept multiplied by scale_j = scale_{j-1} * lcm of its
+    gaps X_{i+j} - X_i, so each entry is (next - this) * (lcm // gap), an
+    integer.  Horner's rule in the Newton basis,
+    acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives the integer
+    polynomial scale_N * e * p(t/d), so coefficient m of the result is
+    acc_m d^m / (scale_N e).  The abscissas must be pairwise distinct.
+
+    On consecutive integer nodes every lcm // gap is 1, so the levels are
+    plain forward differences.  On scattered rational nodes scale_N grows
+    faster than the lcm of a Lagrange form would.
     """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
@@ -129,28 +135,21 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     d = lcm(*(x.denominator for x in xs))
     e = lcm(*(y.denominator for y in ys))
     nodes = [x.numerator * (d // x.denominator) for x in xs]
-    values = [y.numerator * (e // y.denominator) for y in ys]
-    n = len(nodes)
+    level = [y.numerator * (e // y.denominator) for y in ys]
 
-    # M(t), lowest coefficient first; multiply in one (t - X_j) at a time.
-    monic = [1]
-    for node in nodes:
-        monic = [0] + monic
-        for i in range(len(monic) - 1):
-            monic[i] -= node * monic[i + 1]
+    # tops[j] = f[X_0..X_j] * scales[j], the leading entry of level j.
+    tops, scales = level[:1], [1]
+    for j in range(1, len(nodes)):
+        gaps = [b - a for a, b in zip(nodes, nodes[j:])]
+        step = lcm(*gaps)
+        level = [(b - a) * (step // gap) for a, b, gap in zip(level, level[1:], gaps)]
+        tops.append(level[0])
+        scales.append(scales[-1] * step)
 
-    weights = [prod(xi - xj for xj in nodes if xj != xi) for xi in nodes]
-    common = lcm(*weights)
-
-    numerator = [0] * n
-    for xi, yi, w in zip(nodes, values, weights):
-        scale = yi * (common // w)
-        # Synthetic division M(t) / (t - X_i), from the top coefficient down.
-        q = 0
-        for m in range(n, 0, -1):
-            q = monic[m] + xi * q
-            numerator[m - 1] += scale * q
-    denominator = common * e
-    return RationalPolynomial(
-        Fraction(c * d**m, denominator) for m, c in enumerate(numerator)
-    )
+    full = scales[-1]
+    acc: list[int] = []
+    for node, top, scale in zip(reversed(nodes), reversed(tops), reversed(scales)):
+        acc = [low - node * c for low, c in zip([0, *acc], [*acc, 0])]
+        acc[0] += top * (full // scale)
+    denominator = full * e
+    return RationalPolynomial(Fraction(c * d**m, denominator) for m, c in enumerate(acc))

@@ -107,6 +107,8 @@ _shared_lock = threading.Lock()
 
 def shared_triangle(max_n: int) -> StirlingTriangle:
     """Snapshot of the session triangle, grown to at least max_n rows."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     with _shared_lock:
         while len(_shared_rows) <= max_n:
             _shared_rows.append(_next_row(_shared_rows[-1]))

@@ -27,7 +27,12 @@ from bernocchi.formulas import (
     genocchi_theorem,
     is_applicable,
 )
-from bernocchi.stirling import StirlingTriangle, shared_triangle, stirling_via_series
+from bernocchi.stirling import (
+    StirlingTriangle,
+    shared_triangle,
+    stirling_via_series,
+    triangle_build,
+)
 
 # Hand-unrolled values of the generating-function recurrence.
 KNOWN_BERNOULLI = {
@@ -183,6 +188,43 @@ def test_stirling_ratio_examples():
     assert bernoulli_stirling_ratio(5) == 0
 
 
+def stirling_ratio_reference(n, rows):
+    """sum_i (-1)^i C(n+1,i+1)/C(n+i,i) S(n+i,i) as written, one Fraction per term."""
+    return sum(
+        (
+            (-1) ** i * Fraction(comb(n + 1, i + 1), comb(n + i, i)) * rows[n + i][i]
+            for i in range(n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def double_stirling_reference(k, rows):
+    """1 + sum_m S(2k+1,m+1) S(2k,2k-m) / C(2k,m)
+    - 2k/(2k+1) sum_m S(2k,m) S(2k+1,2k-m+1) / C(2k,m-1), one Fraction per term."""
+    n2 = 2 * k
+    first = sum(
+        (Fraction(rows[n2 + 1][m + 1] * rows[n2][n2 - m], comb(n2, m)) for m in range(1, n2)),
+        Fraction(0),
+    )
+    second = sum(
+        (
+            Fraction(rows[n2][m] * rows[n2 + 1][n2 - m + 1], comb(n2, m - 1))
+            for m in range(1, n2 + 1)
+        ),
+        Fraction(0),
+    )
+    return 1 + first - Fraction(n2, n2 + 1) * second
+
+
+def test_stirling_ratio_and_double_stirling_equal_their_fraction_sums():
+    rows = triangle_build(2 * 120 + 1).rows
+    for n in range(121):
+        assert bernoulli_stirling_ratio(n) == stirling_ratio_reference(n, rows)
+        if n >= 2 and n % 2 == 0:
+            assert bernoulli_double_stirling(n // 2) == double_stirling_reference(n // 2, rows)
+
+
 def test_faulhaber_coefficient_examples():
     assert faulhaber_coefficients(0).coefficients == (0, 1)
     assert faulhaber_coefficients(1).coefficients == (0, Fraction(1, 2), Fraction(1, 2))
@@ -217,6 +259,22 @@ def test_tangent_double_as_printed_is_wrong_on_purpose():
     # inner sum 8 - 4 - 1 = 3, prefactor -1/30
     assert bernoulli_tangent_double_as_printed(2) == Fraction(-1, 10)
     assert bernoulli_tangent_double_as_printed(1) != bernoulli_series_oracle(2)
+
+
+def tangent_double_reference(k):
+    """The printed double sum, term by term in the printed order."""
+    inner = sum(
+        (-1) ** (i + l) * comb(2 * k, l) * (k - i - l) ** (2 * k - 1)
+        for i in range(k)
+        for l in range(k - i)
+    )
+    return Fraction((-1) ** (k - 1) * k * inner, 2 ** (2 * (k - 1)) * (2 ** (2 * k) - 1))
+
+
+def test_tangent_double_as_printed_equals_the_printed_double_sum():
+    # The untrusted value must not move, only the order of summation.
+    for k in range(1, 61):
+        assert bernoulli_tangent_double_as_printed(k) == tangent_double_reference(k)
 
 
 def test_double_stirling_examples():
@@ -303,6 +361,7 @@ def test_integer_kernels_agree_with_oracle_at_large_n(n):
     oracle = bernoulli_series_oracle(n)
     assert bernoulli_higgins(n) == oracle
     assert bernoulli_gould_double(n) == oracle
+    assert bernoulli_stirling_ratio(n) == oracle
     assert bernoulli_faulhaber_recursion(n // 2) == oracle
     assert bernoulli_stirling_single(n) == oracle
     assert bernoulli_double_stirling(n // 2) == oracle

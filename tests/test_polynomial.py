@@ -127,3 +127,8 @@ def test_interpolate_matches_newton_reference():
     nodes = (Fraction(-7, 3), -2, Fraction(-1, 2), 0, Fraction(5, 6), 3, Fraction(17, 4))
     points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(nodes)]
     assert interpolate(points) == newton_interpolate(points)
+    # 25 scattered, unsorted rational nodes: more than the property test draws.
+    scattered = [Fraction((37 * i) % 101 - 50, 1 + (5 * i) % 11) for i in range(25)]
+    assert len(set(scattered)) == 25 and scattered != sorted(scattered)
+    points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(scattered)]
+    assert interpolate(points) == newton_interpolate(points)

@@ -69,6 +69,14 @@ def test_triangle_value_conventions():
         t.row(-1)
 
 
+def test_shared_triangle_rejects_a_negative_size():
+    shared_triangle(10)
+    with pytest.raises(ValueError):
+        shared_triangle(-5)
+    with pytest.raises(ValueError):
+        shared_triangle(-1)
+
+
 def test_explicit_sum_values():
     assert stirling_explicit(3, 2) == 3  # (1/2)(-2*1 + 1*8)
     assert stirling_explicit(4, 2) == 7  # (1/2)(-2*1 + 16)
