@@ -2,9 +2,8 @@
 and Stirling-number formulas, with a CLI for tables, verification reports
 and micro-benchmarks."""
 
-from .exact import binomial, factorial, format_rational, int_pow, parse_rational, rat
+from .exact import binomial, factorial, format_rational, parse_rational
 from .polynomial import RationalPolynomial, X, interpolate
-from .series import TruncatedSeries, exp_series
 from .stirling import (
     StirlingTriangle,
     TriangleFileError,

@@ -205,6 +205,8 @@ def cmd_cache(args) -> int:
         triangle_save(triangle_build(args.max_n), cache_file())
         print(str(cache_file()))
         return 0
+    if args.max_n is not None:
+        raise ValueError(f"cache {args.action} takes no max_n")
     if args.action == "path":
         print(str(cache_file()))
         return 0

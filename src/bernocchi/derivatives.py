@@ -45,9 +45,6 @@ class DerivativeRule:
 
     substitution_factor: RationalPolynomial
 
-    def apply(self, p: RationalPolynomial) -> RationalPolynomial:
-        return self.iterate(1, p)
-
     def iterate(self, k: int, start: RationalPolynomial = X) -> RationalPolynomial:
         """The rule applied k times to start, in integers.
 

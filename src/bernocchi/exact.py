@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: arbitrary-precision integers and reduced rationals.
 
-Integers are plain Python ``int`` (unbounded, exact).  Rationals are
+Integers are plain Python ``int`` (unbounded, exact), and integer powers
+are plain ``**``, which gives ``0 ** 0 == 1``, the convention the formulas
+rely on.  Rationals are
 ``fractions.Fraction``, which is always stored reduced with a positive
 denominator, so structural equality is mathematical equality.
 ``factorial`` and ``binomial`` are ``math.factorial`` and ``math.comb``:
@@ -14,26 +16,9 @@ import re
 from fractions import Fraction
 from math import comb as binomial, factorial
 
-__all__ = [
-    "rat",
-    "format_rational",
-    "parse_rational",
-    "factorial",
-    "binomial",
-    "int_pow",
-]
+__all__ = ["format_rational", "parse_rational", "factorial", "binomial"]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction num/den with positive denominator.
-
-    rat(a, b) == rat(k*a, k*b) for any nonzero k.
-    """
-    if den == 0:
-        raise ValueError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -52,10 +37,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-def int_pow(base: int, exp: int) -> int:
-    """base**exp with the convention int_pow(0, 0) == 1."""
-    if exp < 0:
-        raise ValueError("negative exponent")
-    return base**exp

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .exact import factorial, int_pow
+from .exact import factorial
 from .polynomial import RationalPolynomial, interpolate
 from .stirling import shared_triangle
 
@@ -136,7 +136,7 @@ def bernoulli_higgins(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    diffs = [int_pow(j, n) for j in range(n + 1)]
+    diffs = [j**n for j in range(n + 1)]
     common = lcm(*range(1, n + 2))
     total = 0
     for k in range(n + 1):
@@ -178,7 +178,7 @@ def bernoulli_gould_double(n: int) -> Fraction:
     weight = common  # (2n)!/(n+j)!
     outer = n + 1  # C(n+1, j+1)
     row = [1]  # C(j, 0..j)
-    signed_powers = [(-1) ** k * int_pow(k, n) for k in range(n + 1)]  # (-1)^k k^(n+j)
+    signed_powers = [(-1) ** k * k**n for k in range(n + 1)]  # (-1)^k k^(n+j)
     total = 0
     for j in range(n + 1):
         if j:
@@ -220,11 +220,6 @@ class FaulhaberTable(RationalPolynomial):
 
     __slots__ = ()
 
-    @property
-    def exponent(self) -> int:
-        """p, read off the degree p + 1 (A_{p+1} = 1/(p+1) is never 0)."""
-        return len(self.coefficients) - 2
-
     evaluate = RationalPolynomial.__call__
 
 
@@ -237,10 +232,10 @@ def faulhaber_coefficients(p: int) -> FaulhaberTable:
     if p < 0:
         raise ValueError("exponent must be nonnegative")
     points = []
-    running = Fraction(0)
+    running = 0
     for n in range(p + 2):
         if n:
-            running += int_pow(n, p)
+            running += n**p
         points.append((n, running))
     return FaulhaberTable(interpolate(points).coefficients)
 
@@ -284,7 +279,7 @@ def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
     inner = 0
     for j in range(k):
         partial += entry
-        inner += (-1) ** j * partial * int_pow(k - j, 2 * k - 1)
+        inner += (-1) ** j * partial * (k - j) ** (2 * k - 1)
         entry = entry * (2 * k - j) // (j + 1)
     prefactor = Fraction((-1) ** (k - 1) * k, (1 << (2 * (k - 1))) * ((1 << (2 * k)) - 1))
     return prefactor * inner

@@ -92,21 +92,6 @@ class RationalPolynomial:
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coefficients)!r})"
 
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts)
-
 
 X = RationalPolynomial((0, 1))
 

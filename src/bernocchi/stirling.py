@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .exact import binomial, factorial, int_pow
+from .exact import binomial, factorial
 
 __all__ = [
     "StirlingTriangle",
@@ -123,7 +123,7 @@ def stirling_explicit(k: int, m: int) -> int:
         return 1 if k == 0 else 0
     if m > k:
         return 0
-    total = sum((-1) ** (m - l) * binomial(m, l) * int_pow(l, k) for l in range(1, m + 1))
+    total = sum((-1) ** (m - l) * binomial(m, l) * l**k for l in range(1, m + 1))
     quotient, remainder = divmod(total, factorial(m))
     if remainder:
         raise ArithmeticError(f"sum for S({k},{m}) not divisible by {m}!")

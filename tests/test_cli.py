@@ -217,6 +217,15 @@ def test_cache_build_requires_max_n(capsys):
     assert "max_n" in err
 
 
+def test_cache_path_and_clear_reject_max_n(capsys):
+    assert run(capsys, "cache", "build", "4")[0] == 0
+    for action in ("path", "clear"):
+        code, out, err = run(capsys, "cache", action, "4")
+        assert (code, out) == (1, "")
+        assert "max_n" in err
+    assert cache_file().is_file()  # the rejected clear removed nothing
+
+
 def test_cache_transparency(capsys):
     cold = run(capsys, "verify", "--max-n", "10", "--format", "json")
     assert run(capsys, "cache", "build", "25")[0] == 0

@@ -40,7 +40,7 @@ def test_second_derivatives():
 
 def test_rule_application_is_chain_rule():
     p = X * X - X
-    assert LOGISTIC_RULE.apply(p) == p.derivative() * RationalPolynomial((0, -1, 1))
+    assert LOGISTIC_RULE.iterate(1, p) == p.derivative() * RationalPolynomial((0, -1, 1))
 
 
 def test_rule_matches_stirling_closed_form():

@@ -1,18 +1,11 @@
-"""Scalar substrate: rationals, factorials, binomials, integer powers."""
+"""Scalar substrate: rational serialization, factorials, binomials."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernocchi.exact import (
-    binomial,
-    factorial,
-    format_rational,
-    int_pow,
-    parse_rational,
-    rat,
-)
+from bernocchi.exact import binomial, factorial, format_rational, parse_rational
 
 
 def choose_by_factorials(n, k):
@@ -28,51 +21,6 @@ def product_factorial(n):
     for i in range(1, n + 1):
         result *= i
     return result
-
-
-def pow_by_squaring(base, exp):
-    """Independent oracle: repeated squaring."""
-    result = 1
-    while exp:
-        if exp & 1:
-            result *= base
-        base *= base
-        exp >>= 1
-    return result
-
-
-def test_rat_reduces():
-    assert rat(2, 4) == Fraction(1, 2)
-
-
-def test_rat_normalizes_sign():
-    assert rat(3, -6) == Fraction(-1, 2)
-    assert rat(3, -6).denominator == 2
-
-
-def test_rat_zero():
-    assert rat(0, 7) == Fraction(0)
-    assert rat(0, 7).denominator == 1
-
-
-def test_rat_zero_denominator_rejected():
-    with pytest.raises(ValueError):
-        rat(1, 0)
-
-
-def test_rat_scaling_invariance():
-    for k in (-5, -1, 2, 7):
-        assert rat(3, 4) == rat(3 * k, 4 * k)
-
-
-@given(
-    st.integers(-50, 50),
-    st.integers(-50, 50).filter(bool),
-    st.integers(-50, 50),
-    st.integers(-50, 50).filter(bool),
-)
-def test_rat_addition_matches_cross_multiplication(a, b, c, d):
-    assert rat(a, b) + rat(c, d) == rat(a * d + b * c, b * d)
 
 
 @given(
@@ -121,15 +69,6 @@ def test_factorial_values():
     assert factorial(20) == 2432902008176640000
     for n in range(30):
         assert factorial(n) == product_factorial(n)
-
-
-def test_int_pow():
-    assert int_pow(0, 0) == 1
-    assert int_pow(2, 10) == 1024 == pow_by_squaring(2, 10)
-    assert int_pow(-3, 3) == -27
-    for base in range(-6, 7):
-        for exp in range(12):
-            assert int_pow(base, exp) == pow_by_squaring(base, exp)
 
 
 def test_format_rational():
