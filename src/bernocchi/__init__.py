@@ -27,6 +27,7 @@ from .formulas import (
     bernoulli_double_stirling,
     bernoulli_faulhaber_recursion,
     bernoulli_from_genocchi,
+    bernoulli_from_tangent,
     bernoulli_gould_double,
     bernoulli_higgins,
     bernoulli_series_oracle,
@@ -40,6 +41,7 @@ from .formulas import (
     genocchi_from_bernoulli,
     genocchi_theorem,
     is_applicable,
+    tangent_numbers,
 )
 from .derivatives import (
     DerivativeRule,

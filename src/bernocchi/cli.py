@@ -12,10 +12,19 @@ import json
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from .cache import cache_dir, cache_file
 from .exact import format_rational
-from .formulas import FormulaId, bernoulli_series_oracle, formula_value, genocchi_theorem
+from .formulas import (
+    B0,
+    B1,
+    FormulaId,
+    bernoulli_from_tangent,
+    formula_value,
+    genocchi_theorem,
+    tangent_numbers,
+)
 from .harness import Verdict, bench, report_to_json, verify_range
 from .stirling import shared_triangle, triangle_build, triangle_save
 
@@ -144,7 +153,14 @@ def cmd_table(args) -> int:
         return 0
 
     if kind == "bernoulli":
-        entries = [(n, bernoulli_series_oracle(n)) for n in range(args.max_n + 1)]
+        # B_2k from one pass of tangent numbers; B_n = 0 at odd n >= 3, since
+        # x/(e^x - 1) + x/2 is even.
+        tangents = tangent_numbers(args.max_n // 2)
+        entries = [(0, B0), (1, B1)][: args.max_n + 1]
+        entries += [
+            (n, Fraction(0) if n % 2 else bernoulli_from_tangent(n // 2, tangents[n // 2]))
+            for n in range(2, args.max_n + 1)
+        ]
     else:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
     if args.format == "json":

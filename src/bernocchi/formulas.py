@@ -40,6 +40,8 @@ __all__ = [
     "bernoulli_tangent_double_as_printed",
     "bernoulli_double_stirling",
     "genocchi_theorem",
+    "tangent_numbers",
+    "bernoulli_from_tangent",
     "genocchi_from_bernoulli",
     "bernoulli_from_genocchi",
     "euler_at_zero",
@@ -65,6 +67,7 @@ class FormulaId(enum.Enum):
     TANGENT_DOUBLE_14_AS_PRINTED = "TANGENT_DOUBLE_14_AS_PRINTED"
     DOUBLE_STIRLING_15 = "DOUBLE_STIRLING_15"
     GENOCCHI_THEOREM_16 = "GENOCCHI_THEOREM_16"
+    BRENT_HARVEY_TANGENT = "BRENT_HARVEY_TANGENT"
 
     @property
     def trusted(self) -> bool:
@@ -170,7 +173,9 @@ def bernoulli_gould_double(n: int) -> Fraction:
     Summed in integers over the common denominator (2n)!/n!, so term j is
     weighted by the integer (2n)!/(n+j)!, and reduced once.  The signs
     combine to (-1)^j (-1)^(j-k) = (-1)^k.  C(j, .) is a Pascal row and
-    C(n+1, j+1) a running product, both advanced once per j.
+    C(n+1, j+1) a running product, both advanced once per j; the signed
+    powers for k < j are multiplied by k once per j, and the one for k = j
+    is appended.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -178,13 +183,14 @@ def bernoulli_gould_double(n: int) -> Fraction:
     weight = common  # (2n)!/(n+j)!
     outer = n + 1  # C(n+1, j+1)
     row = [1]  # C(j, 0..j)
-    signed_powers = [(-1) ** k * k**n for k in range(n + 1)]  # (-1)^k k^(n+j)
+    signed_powers = [0**n]  # (-1)^k k^(n+j) for k = 0..j
     total = 0
     for j in range(n + 1):
         if j:
             weight //= n + j
             row = [1, *map(add, row, row[1:]), 1]
             signed_powers = [k * p for k, p in enumerate(signed_powers)]
+            signed_powers.append((-1) ** j * j ** (n + j))
         total += outer * weight * sum(map(mul, row, signed_powers))
         outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)
@@ -312,24 +318,53 @@ def bernoulli_double_stirling(k: int) -> Fraction:
 def genocchi_theorem(k: int) -> Fraction:
     """G_k = (-1)^k k sum_{m=1..k} (-1)^m (m-1)!/2^(m-1) S(k,m).
 
-    Summed in integers as k sum_m (-1)^m (m-1)! 2^(k-m) S(k,m), with
-    (-1)^m (m-1)! carried from one term to the next, then divided once by
-    2^(k-1).  The result always reduces to an integer; a remainder signals
-    an implementation bug and raises.
+    Summed in integers as k sum_m (-1)^m (m-1)! 2^(k-m) S(k,m), then
+    divided once by 2^(k-1).  Neighbouring coefficients differ by the factor
+    -m/2, so the sum is -h_1 by Horner's rule: h_k = S(k,k) and
+    h_m = (S(k,m) << (k-m)) - m h_{m+1}, one shift and one multiplication by
+    a small integer per term.  The result always reduces to an integer; a
+    remainder signals an implementation bug and raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
     row = shared_triangle(k).row(k)
-    signed_factorial = -1  # (-1)^m (m-1)!
-    total = 0
-    for m in range(1, k + 1):
-        total += signed_factorial * (row[m] << (k - m))
-        signed_factorial *= -m
-    scaled = (-1) ** k * k * total  # G_k * 2^(k-1)
+    horner = row[k]  # h_m, from m = k down to 1
+    for m in range(k - 1, 0, -1):
+        horner = (row[m] << (k - m)) - m * horner
+    scaled = (-1) ** (k + 1) * k * horner  # G_k * 2^(k-1)
     value, remainder = divmod(scaled, 1 << (k - 1))
     if remainder:
         raise ArithmeticError(f"G_{k} came out non-integer: {Fraction(scaled, 1 << (k - 1))}")
     return Fraction(value)
+
+
+def tangent_numbers(k: int) -> list[int]:
+    """T_0..T_k, where tan x = sum_j T_j x^(2j-1)/(2j-1)! (so T_0 = 0, T_1 = 1).
+
+    The in-place integer recurrence of R. P. Brent and D. Harvey, "Fast
+    computation of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286):
+    start from T_j = (j-1)! and, for i = 2..k, set
+    T_j = (j-i) T_{j-1} + (j-i+2) T_j for j = i..k in increasing order.  Each
+    of the ~k^2/2 steps multiplies big integers by small ones only.  Reads
+    neither the Stirling triangle nor the oracle, and keeps no memo.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    tangents = [0, 1][: k + 1]
+    for j in range(2, k + 1):
+        tangents.append((j - 1) * tangents[j - 1])
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            tangents[j] = (j - i) * tangents[j - 1] + (j - i + 2) * tangents[j]
+    return tangents
+
+
+def bernoulli_from_tangent(k: int, tangent: int) -> Fraction:
+    """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for k >= 1, T_k the k-th tangent number."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    power = 1 << (2 * k)  # 4^k
+    return Fraction((-1) ** (k - 1) * 2 * k * tangent, power * (power - 1))
 
 
 def genocchi_from_bernoulli(n: int, b: Fraction) -> Fraction:
@@ -387,6 +422,11 @@ _REGISTRY: dict[FormulaId, _Formula] = {
         lambda n: bernoulli_double_stirling(n // 2), lowest=2, even_only=True
     ),
     FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), lowest=1, genocchi=True),
+    FormulaId.BRENT_HARVEY_TANGENT: _Formula(
+        lambda n: bernoulli_from_tangent(n // 2, tangent_numbers(n // 2)[-1]),
+        lowest=2,
+        even_only=True,
+    ),
 }
 
 

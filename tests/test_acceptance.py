@@ -24,6 +24,8 @@ from bernocchi.formulas import (
     bernoulli_faulhaber_recursion,
     bernoulli_series_oracle,
     faulhaber_coefficients,
+    formula_value,
+    genocchi_from_bernoulli,
     genocchi_theorem,
 )
 from bernocchi.harness import Verdict, verify_range
@@ -76,6 +78,13 @@ def test_criterion_01_genocchi_table_reproduction(capsys):
         assert actual == expected, (
             f"table values differ at {mismatches} (index, got, expected)"
         )
+        # Three more routes to G_18, each independent of the Stirling sum
+        # behind the table: the oracle through the bridge, the derivative
+        # polynomials, and the Brent-Harvey tangent numbers.
+        assert genocchi_from_bernoulli(18, bernoulli_series_oracle(18)) == -28820619
+        assert genocchi_from_derivatives(18) == -28820619
+        brent_harvey = formula_value(FormulaId.BRENT_HARVEY_TANGENT, 18)
+        assert genocchi_from_bernoulli(18, brent_harvey) == -28820619
 
 
 def test_criterion_02_trusted_formula_consensus(capsys):
@@ -86,6 +95,7 @@ def test_criterion_02_trusted_formula_consensus(capsys):
         FormulaId.STIRLING_RATIO_12,
         FormulaId.FAULHABER_RECURSION_13,
         FormulaId.DOUBLE_STIRLING_15,
+        FormulaId.BRENT_HARVEY_TANGENT,
     }
     expected_other = {
         FormulaId.HIGGINS_9,

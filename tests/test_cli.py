@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit-status contract, cache behavior."""
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import bernocchi
 from bernocchi import reset_caches, stirling
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
+from bernocchi.exact import format_rational
+from bernocchi.formulas import bernoulli_series_oracle
 
 
 def run(capsys, *argv):
@@ -99,7 +102,7 @@ def test_verify_json_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "40", "--format", "json")
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "d5a96d043476fcaf1db594cb41bed9ddd9f78628805f49651ea030a1f0aec010"
+    assert digest == "040054917728d287f46eb9f0fcc8bc8dbe5514db4f0efe51650e0e8edbe98705"
 
 
 def test_table_json_bytes_are_pinned(capsys):
@@ -143,6 +146,27 @@ def test_table_bernoulli(capsys):
     assert out.splitlines() == ["0 1", "1 -1/2", "2 1/6", "3 0", "4 -1/30"]
 
 
+def test_table_bernoulli_equals_the_oracle_at_every_index(capsys):
+    code, out, _ = run(capsys, "table", "bernoulli", "600")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{n} {format_rational(bernoulli_series_oracle(n))}" for n in range(601)
+    ]
+
+
+@pytest.mark.parametrize("max_n", range(4))
+def test_table_bernoulli_smallest_sizes(capsys, max_n):
+    # B_0 and B_1 are constants, B_2 the first tangent-number value, B_3 the
+    # first odd-index zero.
+    values = ["1", "-1/2", "1/6", "0"][: max_n + 1]
+    plain = "".join(f"{n} {v}\n" for n, v in enumerate(values))
+    csv = "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
+    rows = [{"n": n, "value": v} for n, v in enumerate(values)]
+    json_out = json.dumps({"kind": "bernoulli", "rows": rows}, indent=2) + "\n"
+    for fmt, want in (("plain", plain), ("csv", csv), ("json", json_out)):
+        assert run(capsys, "table", "bernoulli", str(max_n), "--format", fmt) == (0, want, "")
+
+
 def test_table_stirling(capsys):
     code, out, _ = run(capsys, "table", "stirling", "4")
     assert code == 0
@@ -172,7 +196,7 @@ def test_bench_csv_schema(capsys):
     lines = out.splitlines()
     assert lines[0] == "formula,n,reps,median_ns,value"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 8 * 2  # eight trusted formulas at n in {8, 16}
+    assert len(rows) == 9 * 2  # nine trusted formulas at n in {8, 16}
     assert all(len(row) == 5 for row in rows)
     stirling_single_at_8 = [r for r in rows if r[0] == "STIRLING_SINGLE_10" and r[1] == "8"]
     assert stirling_single_at_8[0][4] == "-1/30"

@@ -1,6 +1,6 @@
 """Bernoulli/Genocchi formulas against the independent series oracle."""
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -12,6 +12,7 @@ from bernocchi.formulas import (
     bernoulli_double_stirling,
     bernoulli_faulhaber_recursion,
     bernoulli_from_genocchi,
+    bernoulli_from_tangent,
     bernoulli_gould_double,
     bernoulli_higgins,
     bernoulli_series_oracle,
@@ -25,6 +26,7 @@ from bernocchi.formulas import (
     genocchi_from_bernoulli,
     genocchi_theorem,
     is_applicable,
+    tangent_numbers,
 )
 from bernocchi.stirling import (
     StirlingTriangle,
@@ -76,6 +78,7 @@ REGISTRY = {
     FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: (False, True, "---+-+-+-+", [0] * 10),
     FormulaId.DOUBLE_STIRLING_15: (True, True, "---+-+-+-+", list(range(0, 10))),
     FormulaId.GENOCCHI_THEOREM_16: (True, False, "--++++++++", list(range(-1, 9))),
+    FormulaId.BRENT_HARVEY_TANGENT: (True, True, "---+-+-+-+", [0] * 10),
 }
 
 # Each formula's own function, and whether it takes n or n // 2.
@@ -89,6 +92,7 @@ DIRECT = {
     FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: (bernoulli_tangent_double_as_printed, True),
     FormulaId.DOUBLE_STIRLING_15: (bernoulli_double_stirling, True),
     FormulaId.GENOCCHI_THEOREM_16: (genocchi_theorem, False),
+    FormulaId.BRENT_HARVEY_TANGENT: (lambda k: bernoulli_from_tangent(k, tangent_numbers(k)[k]), True),
 }
 
 TRUSTED_BERNOULLI_FORMULAS = [
@@ -336,6 +340,52 @@ def test_genocchi_theorem_rejects_a_non_integer_sum(monkeypatch):
         genocchi_theorem(k)
 
 
+def genocchi_theorem_reference(k, row):
+    """(-1)^k k sum_m (-1)^m (m-1)!/2^(m-1) S(k,m) as printed, one Fraction per term."""
+    return (-1) ** k * k * sum(
+        (Fraction((-1) ** m * factorial(m - 1), 2 ** (m - 1)) * row[m] for m in range(1, k + 1)),
+        Fraction(0),
+    )
+
+
+def test_genocchi_theorem_equals_its_fraction_sum():
+    rows = triangle_build(300).rows
+    for k in range(1, 301):
+        assert genocchi_theorem(k) == genocchi_theorem_reference(k, rows[k]), k
+
+
+def test_tangent_numbers_known_values():
+    # OEIS A000182, after T_0 = 0.
+    known = [0, 1, 2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976]
+    assert tangent_numbers(0) == [0]
+    assert tangent_numbers(1) == [0, 1]
+    assert tangent_numbers(9) == known
+    assert tangent_numbers(40)[:10] == known
+    with pytest.raises(ValueError):
+        tangent_numbers(-1)
+
+
+def test_bernoulli_from_tangent():
+    assert bernoulli_from_tangent(1, 1) == Fraction(1, 6)
+    assert bernoulli_from_tangent(2, 2) == Fraction(-1, 30)
+    assert bernoulli_from_tangent(3, 16) == Fraction(1, 42)
+    with pytest.raises(ValueError):
+        bernoulli_from_tangent(0, 0)
+
+
+def test_brent_harvey_row_equals_oracle_at_every_even_index():
+    for n in range(2, 201, 2):
+        assert formula_value(FormulaId.BRENT_HARVEY_TANGENT, n) == bernoulli_series_oracle(n), n
+
+
+def test_tangent_numbers_give_the_genocchi_theorem():
+    # G_2k = (-1)^k 2k T_k / 2^(2k-1), against the paper's Stirling sum.
+    tangents = tangent_numbers(150)
+    for k in range(1, 151):
+        g = Fraction((-1) ** k * 2 * k * tangents[k], 1 << (2 * k - 1))
+        assert g == genocchi_theorem(2 * k), k
+
+
 def test_euler_at_zero():
     assert euler_at_zero(1) == Fraction(-1, 2)  # G_2 / 2
     assert euler_at_zero(2) == Fraction(1, 4)  # G_4 / 4
@@ -375,6 +425,7 @@ def test_formula_registry_flags():
         FormulaId.FAULHABER_RECURSION_13,
         FormulaId.TANGENT_DOUBLE_14_AS_PRINTED,
         FormulaId.DOUBLE_STIRLING_15,
+        FormulaId.BRENT_HARVEY_TANGENT,
     }
     assert list(REGISTRY) == list(FormulaId)
     for fid, (trusted, even_only, _, _) in REGISTRY.items():

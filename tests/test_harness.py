@@ -45,6 +45,7 @@ def test_evaluate_all_at_odd_index():
     assert FormulaId.FAULHABER_RECURSION_13 not in ids
     assert FormulaId.TANGENT_DOUBLE_14_AS_PRINTED not in ids
     assert FormulaId.DOUBLE_STIRLING_15 not in ids
+    assert FormulaId.BRENT_HARVEY_TANGENT not in ids
     assert all(e.value == 0 for e in evals)
 
 
