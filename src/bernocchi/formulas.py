@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, sub
 
 from .exact import factorial
 from .polynomial import RationalPolynomial, interpolate
@@ -144,7 +144,7 @@ def bernoulli_higgins(n: int) -> Fraction:
     total = 0
     for k in range(n + 1):
         total += (-1) ** k * diffs[0] * (common // (k + 1))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        diffs = list(map(sub, diffs[1:], diffs))
     return Fraction(total, common)
 
 
@@ -172,26 +172,25 @@ def bernoulli_gould_double(n: int) -> Fraction:
 
     Summed in integers over the common denominator (2n)!/n!, so term j is
     weighted by the integer (2n)!/(n+j)!, and reduced once.  The signs
-    combine to (-1)^j (-1)^(j-k) = (-1)^k.  C(j, .) is a Pascal row and
-    C(n+1, j+1) a running product, both advanced once per j; the signed
-    powers for k < j are multiplied by k once per j, and the one for k = j
-    is appended.
+    combine to (-1)^j (-1)^(j-k) = (-1)^k.  C(n+1, j+1) is a running
+    product.  The inner terms t_k = (-1)^k C(j,k) k^(n+j) are carried from
+    one j to the next: since C(j,k) = C(j-1,k) j/(j-k), each t_k for k < j
+    becomes the exact quotient t_k k j // (j-k), and t_j = (-1)^j j^(n+j) is
+    appended.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     common = factorial(2 * n) // factorial(n)
     weight = common  # (2n)!/(n+j)!
     outer = n + 1  # C(n+1, j+1)
-    row = [1]  # C(j, 0..j)
-    signed_powers = [0**n]  # (-1)^k k^(n+j) for k = 0..j
+    terms = [0**n]  # (-1)^k C(j,k) k^(n+j) for k = 0..j
     total = 0
     for j in range(n + 1):
         if j:
             weight //= n + j
-            row = [1, *map(add, row, row[1:]), 1]
-            signed_powers = [k * p for k, p in enumerate(signed_powers)]
-            signed_powers.append((-1) ** j * j ** (n + j))
-        total += outer * weight * sum(map(mul, row, signed_powers))
+            terms = [t * (k * j) // (j - k) for k, t in enumerate(terms)]
+            terms.append((-1) ** j * j ** (n + j))
+        total += outer * weight * sum(terms)
         outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)
 
@@ -252,15 +251,17 @@ def bernoulli_faulhaber_recursion(k: int) -> Fraction:
     The A_m are the power-sum coefficients for exponent 2k-1.  That exponent
     choice is a resolved ambiguity: it reproduces B_2 = 1/6, B_4 = -1/30 and
     B_6 = 1/42, while exponent 2k gives 3/10 at k = 2 and is rejected.
+
+    The tail, over the even m = 2..2k-2, is summed in integers over the
+    common denominator lcm of the (m+1) * denominator(A_m), and reduced once.
     """
     if k < 1:
         raise ValueError("k must be positive")
     table = faulhaber_coefficients(2 * k - 1)
-    tail = sum(
-        (table.coefficient(2 * (k - i)) / (2 * (k - i) + 1) for i in range(1, k)),
-        Fraction(0),
-    )
-    return Fraction(1, 2) - Fraction(1, 2 * k + 1) - 2 * k * tail
+    terms = [(table.coefficient(m), m + 1) for m in range(2, 2 * k, 2)]
+    common = lcm(*(a.denominator * d for a, d in terms))
+    tail = sum(a.numerator * (common // (a.denominator * d)) for a, d in terms)
+    return Fraction(1, 2) - Fraction(1, 2 * k + 1) - Fraction(2 * k * tail, common)
 
 
 def bernoulli_tangent_double_as_printed(k: int) -> Fraction:

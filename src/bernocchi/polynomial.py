@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 __all__ = ["RationalPolynomial", "X", "interpolate"]
@@ -102,39 +103,48 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     Newton form over one common denominator, in integers throughout.
     Nodes are scaled to integers X_i = d*x_i and values to Y_i = e*y_i
     (d, e the lcms of the denominators).  Level j of the divided
-    differences is kept multiplied by scale_j = scale_{j-1} * lcm of its
-    gaps X_{i+j} - X_i, so each entry is (next - this) * (lcm // gap), an
-    integer.  Horner's rule in the Newton basis,
-    acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives the integer
-    polynomial scale_N * e * p(t/d), so coefficient m of the result is
-    acc_m d^m / (scale_N e).  The abscissas must be pairwise distinct.
+    differences is kept multiplied by scale_j = scale_{j-1} * step_j, step_j
+    the lcm of its gaps X_{i+j} - X_i, so each entry is
+    (next - this) * (step_j // gap), an integer.  Horner's rule in the
+    Newton basis, acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives
+    the integer polynomial scale_N * e * p(t/d), so coefficient m of the
+    result is acc_m d^m / (scale_N e).  The abscissas must be pairwise
+    distinct.
 
-    On consecutive integer nodes every lcm // gap is 1, so the levels are
-    plain forward differences.  On scattered rational nodes scale_N grows
-    faster than the lcm of a Lagrange form would.
+    On equally spaced nodes every gap of level j equals X_j - X_0, which is
+    taken as step_j, so the levels are plain forward differences and no
+    gaps are formed; on the consecutive integers 0..N, scale_N / scale_j is
+    N!/j!.  On scattered rational nodes scale_N grows faster than the lcm
+    of a Lagrange form would.
     """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation abscissas must be distinct")
     d = lcm(*(x.denominator for x in xs))
     e = lcm(*(y.denominator for y in ys))
     nodes = [x.numerator * (d // x.denominator) for x in xs]
     level = [y.numerator * (e // y.denominator) for y in ys]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation abscissas must be distinct")
 
-    # tops[j] = f[X_0..X_j] * scales[j], the leading entry of level j.
-    tops, scales = level[:1], [1]
+    # tops[j] = f[X_0..X_j] * scale_j, the leading entry of level j.
+    tops, steps = level[:1], [1]
+    equally_spaced = len(set(map(sub, nodes[1:], nodes))) == 1
     for j in range(1, len(nodes)):
-        gaps = [b - a for a, b in zip(nodes, nodes[j:])]
-        step = lcm(*gaps)
-        level = [(b - a) * (step // gap) for a, b, gap in zip(level, level[1:], gaps)]
+        level = list(map(sub, level[1:], level))
+        if equally_spaced:
+            step = nodes[j] - nodes[0]
+        else:
+            gaps = list(map(sub, nodes[j:], nodes))
+            step = lcm(*gaps)
+            level = list(map(mul, level, map(step.__floordiv__, gaps)))
         tops.append(level[0])
-        scales.append(scales[-1] * step)
+        steps.append(step)
 
-    full = scales[-1]
     acc: list[int] = []
-    for node, top, scale in zip(reversed(nodes), reversed(tops), reversed(scales)):
-        acc = [low - node * c for low, c in zip([0, *acc], [*acc, 0])]
-        acc[0] += top * (full // scale)
-    denominator = full * e
+    weight = 1  # scale_N / scale_j
+    for node, top, step in zip(reversed(nodes), reversed(tops), reversed(steps)):
+        acc = list(map(sub, [0, *acc], [*map(node.__mul__, acc), 0]))
+        acc[0] += top * weight
+        weight *= step
+    denominator = weight * e
     return RationalPolynomial(Fraction(c * d**m, denominator) for m, c in enumerate(acc))

@@ -105,6 +105,14 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert digest == "040054917728d287f46eb9f0fcc8bc8dbe5514db4f0efe51650e0e8edbe98705"
 
 
+def test_verify_json_bytes_are_pinned_at_the_benchmark_size(capsys):
+    # The command the verify-sweep workload of perfbench/run.py times.
+    code, out, _ = run(capsys, "verify", "--max-n", "100", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0d43f037adff7f15844770d68c22a08ac1e5b4e30b63d81c5bbfb16f68b2bd6a"
+
+
 def test_table_json_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, "table", "bernoulli", "300", "--format", "json")
     assert code == 0

@@ -28,6 +28,7 @@ from bernocchi.formulas import (
     is_applicable,
     tangent_numbers,
 )
+from bernocchi.polynomial import interpolate
 from bernocchi.stirling import (
     StirlingTriangle,
     shared_triangle,
@@ -184,6 +185,24 @@ def test_gould_double_examples():
     assert bernoulli_gould_double(1) == Fraction(-1, 2)
 
 
+def gould_double_reference(n):
+    """sum_j (-1)^j C(n+1,j+1) n!/(n+j)! sum_k (-1)^(j-k) C(j,k) k^(n+j) as printed,
+    one Fraction per outer term and math.comb per inner term."""
+    return sum(
+        (
+            Fraction((-1) ** j * comb(n + 1, j + 1) * factorial(n), factorial(n + j))
+            * sum((-1) ** (j - k) * comb(j, k) * k ** (n + j) for k in range(j + 1))
+            for j in range(n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def test_gould_double_equals_the_printed_double_sum():
+    for n in range(121):
+        assert bernoulli_gould_double(n) == gould_double_reference(n), n
+
+
 def test_stirling_ratio_examples():
     assert bernoulli_stirling_ratio(0) == 1
     # -S(3,1) + (1/6) S(4,2) = -1 + 7/6
@@ -248,6 +267,35 @@ def test_faulhaber_tables_reproduce_power_sums():
         for n in range(1, p + 4):  # nodes are 0..p+1; p+2 and p+3 are off-node
             running += n**p
             assert table.evaluate(n) == running
+
+
+def faulhaber_recursion_reference(k):
+    """1/2 - 1/(2k+1) - 2k sum_{i=1..k-1} A_{2(k-i)}/(2(k-i)+1) as printed, one
+    Fraction per term, with the A_m interpolated through (n, sum_{m<=n} m^(2k-1))."""
+    p = 2 * k - 1
+    table = interpolate([(n, sum(m**p for m in range(1, n + 1))) for n in range(p + 2)])
+    tail = sum(
+        (table.coefficient(2 * (k - i)) / (2 * (k - i) + 1) for i in range(1, k)),
+        Fraction(0),
+    )
+    return Fraction(1, 2) - Fraction(1, 2 * k + 1) - 2 * k * tail
+
+
+def test_faulhaber_recursion_equals_the_printed_sum():
+    for k in range(1, 61):
+        assert bernoulli_faulhaber_recursion(k) == faulhaber_recursion_reference(k), k
+
+
+def test_gould_and_faulhaber_read_neither_the_triangle_nor_the_oracle(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an independent route read the triangle or the oracle")
+
+    monkeypatch.setattr(formulas, "shared_triangle", forbidden)
+    monkeypatch.setattr(formulas, "bernoulli_series_oracle", forbidden)
+    for n in (0, 1, 2, 12, 38):
+        assert bernoulli_gould_double(n) == bernoulli_higgins(n)
+    for k in (1, 2, 6, 19):
+        assert bernoulli_faulhaber_recursion(k) == bernoulli_higgins(2 * k)
 
 
 def test_faulhaber_recursion_examples():

@@ -132,3 +132,7 @@ def test_interpolate_matches_newton_reference():
     assert len(set(scattered)) == 25 and scattered != sorted(scattered)
     points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(scattered)]
     assert interpolate(points) == newton_interpolate(points)
+    # Equally spaced nodes, descending by a rational step.
+    spaced = [Fraction(7, 3) - i * Fraction(5, 6) for i in range(20)]
+    points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(spaced)]
+    assert interpolate(points) == newton_interpolate(points)
