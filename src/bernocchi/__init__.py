@@ -2,7 +2,7 @@
 and Stirling-number formulas, with a CLI for tables, verification reports
 and micro-benchmarks."""
 
-from .exact import binomial, factorial, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .polynomial import RationalPolynomial, X, interpolate
 from .stirling import (
     StirlingTriangle,
@@ -22,7 +22,6 @@ from .stirling import (
 from .formulas import (
     B0,
     B1,
-    FaulhaberTable,
     FormulaId,
     bernoulli_double_stirling,
     bernoulli_faulhaber_recursion,
@@ -74,10 +73,10 @@ __version__ = "0.1.0"
 def reset_caches() -> None:
     """Clear every process-global memo, so that the next computation runs cold.
 
-    The series oracle goes back to B_0, B_1 and its integer state to match;
-    the rows of e^x - 1 powers kept by the Stirling series route and the
-    shared Stirling rows go back to row 0.  No value changes, only the time
-    taken to reach it.
+    The series oracle's integer state goes back to B_0 and B_1; the rows of
+    e^x - 1 powers kept by the Stirling series route and the shared
+    Stirling rows go back to row 0.  No value changes, only the time taken
+    to reach it.
     """
     _formulas._reset_oracle()
     _stirling._reset_memos()

@@ -56,7 +56,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--strict", action="store_true",
                           help="any dissent, even from an untrusted formula, fails")
     p_verify.add_argument("--format", choices=FORMATS, default="plain")
-    p_verify.add_argument("--deterministic", action="store_true")
+    p_verify.add_argument("--deterministic", action="store_true",
+                          help="no effect: verify output carries no timing fields; "
+                          "accepted so that scripts written for bench also run verify")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a value table")
@@ -138,8 +140,7 @@ def cmd_table(args) -> int:
         raise ValueError("max_n must be nonnegative")
     kind = args.kind
     if kind == "stirling":
-        triangle = shared_triangle(args.max_n)
-        rows = [triangle.row(n) for n in range(args.max_n + 1)]
+        rows = shared_triangle(args.max_n).rows
         if args.format == "json":
             print(json.dumps({"kind": kind, "rows": [list(row) for row in rows]}, indent=2))
         elif args.format == "csv":

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd
 
-from .exact import factorial
-from .polynomial import RationalPolynomial, X
+from .polynomial import RationalPolynomial, X, _integer_form
 from .stirling import shared_triangle
 
 __all__ = [
@@ -31,12 +30,6 @@ __all__ = [
     "logistic_derivative_polynomial_reference",
     "genocchi_from_derivatives",
 ]
-
-
-def _integer_form(p: RationalPolynomial) -> tuple[int, list[int]]:
-    """(e, s) with p = s/e: e the lcm of the denominators, s integer coefficients."""
-    e = lcm(*(c.denominator for c in p.coefficients))
-    return e, [c.numerator * (e // c.denominator) for c in p.coefficients]
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,10 @@ class DerivativeRule:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        d, f = _integer_form(self.substitution_factor)
+        d, f = _integer_form(self.substitution_factor.coefficients)
         g = gcd(*f)
         terms = [(j, b // g) for j, b in enumerate(f) if b]
-        e, q = _integer_form(start)
+        e, q = _integer_form(start.coefficients)
         for _ in range(k):
             dq = [i * a for i, a in enumerate(q) if i]
             q = [0] * (len(dq) + len(f) - 1) if dq and f else []
@@ -124,7 +117,7 @@ def genocchi_from_derivatives(k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be positive")
     p = logistic_derivative_polynomial(k - 1)
-    e, coefficients = _integer_form(p)
+    e, coefficients = _integer_form(p.coefficients)
     total = 0
     for c in coefficients:  # sum_m c_m 2^(d-m), by Horner from c_0
         total = 2 * total + c

@@ -1,22 +1,17 @@
-"""Exact scalar arithmetic: arbitrary-precision integers and reduced rationals.
+"""Exact scalars and the text format of rationals.
 
 Integers are plain Python ``int`` (unbounded, exact), and integer powers
 are plain ``**``, which gives ``0 ** 0 == 1``, the convention the formulas
-rely on.  Rationals are
-``fractions.Fraction``, which is always stored reduced with a positive
-denominator, so structural equality is mathematical equality.
-``factorial`` and ``binomial`` are ``math.factorial`` and ``math.comb``:
-both raise ValueError on negative input, and C(n, k) = 0 for k > n.  They
-keep no memo; a loop that needs many of them carries its own running
-product or Pascal row.
+rely on.  Rationals are ``fractions.Fraction``, which is always stored
+reduced with a positive denominator, so structural equality is
+mathematical equality.  Every output writes a rational as "p" or "p/q".
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb as binomial, factorial
 
-__all__ = ["format_rational", "parse_rational", "factorial", "binomial"]
+__all__ = ["format_rational", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

@@ -18,16 +18,14 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, sub
 
-from .exact import factorial
 from .polynomial import RationalPolynomial, interpolate
 from .stirling import shared_triangle
 
 __all__ = [
     "FormulaId",
-    "FaulhaberTable",
     "B0",
     "B1",
     "bernoulli_series_oracle",
@@ -78,11 +76,11 @@ class FormulaId(enum.Enum):
         return _REGISTRY[self].even_only
 
 
-# B_0, B_1, then grown on demand.  Beside the values the recurrence keeps its
-# integer state: D = lcm of the denominators of the stored values, B_j * D
-# for each j, and the last Pascal row C(len(_oracle_cache), .).  All of it
-# is guarded by _oracle_lock, so concurrent growth stays consistent.
-_oracle_cache: list[Fraction] = []
+# B_0, B_1, then grown on demand, kept only as the recurrence's integer
+# state: D = lcm of the denominators of the values so far, B_j * D for each
+# j, and the last Pascal row C(len(_oracle_scaled), .).  All of it is
+# guarded by _oracle_lock, so concurrent growth stays consistent; B_n is
+# read back as (B_n * D) / D under the same lock, since D rescales the list.
 _oracle_den = 1
 _oracle_scaled: list[int] = []
 _oracle_row: list[int] = []
@@ -93,7 +91,6 @@ def _reset_oracle() -> None:
     """Forget every oracle value past B_1; D = 2 scales them to 2 and -1."""
     global _oracle_den, _oracle_scaled, _oracle_row
     with _oracle_lock:
-        _oracle_cache[:] = [B0, B1]
         _oracle_den = 2
         _oracle_scaled = [2, -1]
         _oracle_row = [1, 2, 1]
@@ -114,8 +111,8 @@ def bernoulli_series_oracle(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     with _oracle_lock:
-        while len(_oracle_cache) <= n:
-            m = len(_oracle_cache)
+        while len(_oracle_scaled) <= n:
+            m = len(_oracle_scaled)
             _oracle_row = [1, *map(add, _oracle_row, _oracle_row[1:]), 1]
             acc = sum(c * s for c, s in zip(_oracle_row, _oracle_scaled) if s)
             value = Fraction(-acc, (m + 1) * _oracle_den)
@@ -125,8 +122,7 @@ def bernoulli_series_oracle(n: int) -> Fraction:
                 _oracle_den *= factor
                 _oracle_scaled = [s * factor for s in _oracle_scaled]
             _oracle_scaled.append(value.numerator * (_oracle_den // den))
-            _oracle_cache.append(value)
-        return _oracle_cache[n]
+        return Fraction(_oracle_scaled[n], _oracle_den)
 
 
 def bernoulli_higgins(n: int) -> Fraction:
@@ -220,16 +216,9 @@ def bernoulli_stirling_ratio(n: int) -> Fraction:
     return Fraction(total, common)
 
 
-class FaulhaberTable(RationalPolynomial):
-    """Coefficients A_0..A_{p+1} with sum_{m=1..n} m^p = sum_m A_m n^m for all n >= 0."""
-
-    __slots__ = ()
-
-    evaluate = RationalPolynomial.__call__
-
-
-def faulhaber_coefficients(p: int) -> FaulhaberTable:
-    """Power-sum polynomial coefficients for exponent p.
+def faulhaber_coefficients(p: int) -> RationalPolynomial:
+    """Power-sum polynomial for exponent p: coefficients A_0..A_{p+1} with
+    sum_{m=1..n} m^p = sum_m A_m n^m for all n >= 0.
 
     Obtained by exact interpolation of the degree-(p+1) polynomial through
     the p+2 points (n, sum_{m=1..n} m^p) for n = 0..p+1.
@@ -242,7 +231,7 @@ def faulhaber_coefficients(p: int) -> FaulhaberTable:
         if n:
             running += n**p
         points.append((n, running))
-    return FaulhaberTable(interpolate(points).coefficients)
+    return interpolate(points)
 
 
 def bernoulli_faulhaber_recursion(k: int) -> Fraction:

@@ -103,23 +103,19 @@ def evaluate_all(n: int) -> list[FormulaEvaluation]:
 
 
 def _record_for(n: int, evaluations: Sequence[FormulaEvaluation]) -> IndexRecord:
-    by_id = {e.formula: e for e in evaluations}
-    oracle = by_id[FormulaId.SERIES_ORACLE]
+    oracle = next(e for e in evaluations if e.formula is FormulaId.SERIES_ORACLE)
     if not oracle.ok:
         raise RuntimeError(f"series oracle failed at n={n}: {oracle.error}")
     consensus = oracle.value
     agreeing = []
     dissenting = []
-    for fid in FormulaId:  # deterministic reduction order
-        ev = by_id.get(fid)
-        if ev is None:
-            continue
+    for ev in evaluations:  # in FormulaId order, as evaluate_all lists them
         if ev.ok and ev.value == consensus:
-            agreeing.append(fid)
+            agreeing.append(ev.formula)
         elif ev.ok:
-            dissenting.append((fid, format_rational(ev.value)))
+            dissenting.append((ev.formula, format_rational(ev.value)))
         else:
-            dissenting.append((fid, f"ERROR: {ev.error}"))
+            dissenting.append((ev.formula, f"ERROR: {ev.error}"))
     return IndexRecord(n, consensus, tuple(agreeing), tuple(dissenting))
 
 

@@ -90,11 +90,19 @@ class RationalPolynomial:
             acc = acc * v + c
         return acc
 
+    evaluate = __call__
+
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coefficients)!r})"
 
 
 X = RationalPolynomial((0, 1))
+
+
+def _integer_form(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(e, s) with values = s/e: e the lcm of the denominators, s integers."""
+    e = lcm(*(v.denominator for v in values))
+    return e, [v.numerator * (e // v.denominator) for v in values]
 
 
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RationalPolynomial:
@@ -117,12 +125,8 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     N!/j!.  On scattered rational nodes scale_N grows faster than the lcm
     of a Lagrange form would.
     """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    d = lcm(*(x.denominator for x in xs))
-    e = lcm(*(y.denominator for y in ys))
-    nodes = [x.numerator * (d // x.denominator) for x in xs]
-    level = [y.numerator * (e // y.denominator) for y in ys]
+    d, nodes = _integer_form([Fraction(x) for x, _ in points])
+    e, level = _integer_form([Fraction(y) for _, y in points])
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation abscissas must be distinct")
 

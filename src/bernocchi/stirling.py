@@ -14,10 +14,9 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from math import comb, factorial
 from pathlib import Path
 from typing import Iterator
-
-from .exact import binomial, factorial
 
 __all__ = [
     "StirlingTriangle",
@@ -64,13 +63,10 @@ class StirlingTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("indices must be nonnegative")
-        if n > self.max_n:
-            raise ValueError(f"triangle holds rows up to {self.max_n}, row {n} requested")
-        if k > n:
-            return 0
-        return self.rows[n][k]
+        if k < 0:
+            raise ValueError("column index must be nonnegative")
+        row = self.row(n)
+        return row[k] if k <= n else 0
 
     def row(self, n: int) -> tuple[int, ...]:
         if n < 0:
@@ -123,7 +119,7 @@ def stirling_explicit(k: int, m: int) -> int:
         return 1 if k == 0 else 0
     if m > k:
         return 0
-    total = sum((-1) ** (m - l) * binomial(m, l) * l**k for l in range(1, m + 1))
+    total = sum((-1) ** (m - l) * comb(m, l) * l**k for l in range(1, m + 1))
     quotient, remainder = divmod(total, factorial(m))
     if remainder:
         raise ArithmeticError(f"sum for S({k},{m}) not divisible by {m}!")
@@ -148,7 +144,7 @@ def _expm1_row(n: int) -> list[int]:
         for i in range(len(_expm1_rows), n + 1):
             row = [0] * (i + 1)
             for m, prev in enumerate(_expm1_rows):
-                c = binomial(i, m)
+                c = comb(i, m)
                 for j, a in enumerate(prev, 1):
                     row[j] += c * a
             _expm1_rows.append(row)

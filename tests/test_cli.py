@@ -120,6 +120,22 @@ def test_table_json_bytes_are_pinned(capsys):
     assert digest == "9774743be824a0d965f52ab905c3f491a85babfbb9378631aba28f1b8eb02428"
 
 
+def test_stirling_table_json_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "table", "stirling", "40", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "1a786ae7e1dc8657f48d1d5538da3384a32f733c72fffd3f78b0b6541b8c2be0"
+
+
+def test_bench_json_bytes_are_pinned(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--max-n", "64", "--reps", "1", "--deterministic", "--format", "json"
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "480b276f986529df11113e2239da63a51858fdef2c237bcb4affdab48f2db7c7"
+
+
 def test_verify_csv_layout(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "csv")
     assert code == 0

@@ -146,7 +146,7 @@ def test_oracle_grown_in_chunks_after_reset_equals_one_cold_call():
     bernoulli_series_oracle(300)
     cold = [bernoulli_series_oracle(n) for n in range(301)]
     reset_caches()
-    assert formulas._oracle_cache == [B0, B1]
+    assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
     for n in (0, 37, 38, 300):
         bernoulli_series_oracle(n)
     assert [bernoulli_series_oracle(n) for n in range(301)] == cold
@@ -158,7 +158,7 @@ def test_reset_caches_empties_every_memo():
     stirling_via_series(12, 5)
     assert len(stirling._expm1_rows) > 1
     reset_caches()
-    assert len(formulas._oracle_cache) == 2
+    assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
 

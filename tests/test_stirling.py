@@ -1,5 +1,6 @@
 """Stirling triangle: three computation routes, enumeration oracle, disk format."""
 import sys
+from math import comb
 
 import pytest
 
@@ -67,6 +68,15 @@ def test_triangle_value_conventions():
         t.value(-1, 0)
     with pytest.raises(ValueError):
         t.row(-1)
+
+
+def test_triangle_value_rejects_a_negative_column():
+    # Without its own check, a negative k would read the row from its end.
+    t = triangle_build(5)
+    for n in range(6):
+        for k in (-1, -n - 1):
+            with pytest.raises(ValueError):
+                t.value(n, k)
 
 
 def test_shared_triangle_rejects_a_negative_size():
@@ -163,12 +173,10 @@ def test_series_route_raises_on_a_remainder(monkeypatch):
 
 
 def test_row_sums_satisfy_bell_recurrence():
-    from bernocchi.exact import binomial
-
     t = triangle_build(16)
     bell = [sum(t.row(n)) for n in range(17)]
     for n in range(16):
-        assert bell[n + 1] == sum(binomial(n, k) * bell[k] for k in range(n + 1))
+        assert bell[n + 1] == sum(comb(n, k) * bell[k] for k in range(n + 1))
 
 
 def test_shared_triangle_grows_and_snapshots():
