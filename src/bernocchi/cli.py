@@ -8,10 +8,8 @@ format is byte-stable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .cache import cache_dir, cache_file
@@ -83,6 +81,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_json(value) -> None:
+    import json  # loaded only when JSON is printed
+
+    print(json.dumps(value, indent=2))
+
+
 def _parse_formula(name: str) -> FormulaId:
     try:
         return FormulaId(name.upper())
@@ -100,7 +104,7 @@ def cmd_compute(args) -> int:
         print("formula,n,value")
         print(f"{fid.value},{args.n},{value}")
     else:
-        print(json.dumps({"formula": fid.value, "n": args.n, "value": value}, indent=2))
+        _print_json({"formula": fid.value, "n": args.n, "value": value})
     return 0
 
 
@@ -142,7 +146,7 @@ def cmd_table(args) -> int:
     if kind == "stirling":
         rows = shared_triangle(args.max_n).rows
         if args.format == "json":
-            print(json.dumps({"kind": kind, "rows": [list(row) for row in rows]}, indent=2))
+            _print_json({"kind": kind, "rows": [list(row) for row in rows]})
         elif args.format == "csv":
             print("n,k,value")
             for n, row in enumerate(rows):
@@ -166,7 +170,7 @@ def cmd_table(args) -> int:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
     if args.format == "json":
         rows = [{"n": n, "value": format_rational(v)} for n, v in entries]
-        print(json.dumps({"kind": kind, "rows": rows}, indent=2))
+        _print_json({"kind": kind, "rows": rows})
     elif args.format == "csv":
         print("n,value")
         for n, v in entries:
@@ -194,7 +198,7 @@ def cmd_bench(args) -> int:
     trusted = [fid for fid in FormulaId if fid.trusted]
     records = bench(trusted, _bench_indices(args.max_n), args.reps)
     if args.deterministic:
-        records = [replace(r, median_ns=0) for r in records]
+        records = [r._replace(median_ns=0) for r in records]
     if args.format == "json":
         rows = [
             {
@@ -206,7 +210,7 @@ def cmd_bench(args) -> int:
             }
             for r in records
         ]
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
     else:  # the bench contract is CSV; plain and csv coincide
         print(BENCH_HEADER)
         for r in records:

@@ -13,9 +13,9 @@ no transcendental evaluation is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, X, _integer_form
 from .stirling import shared_triangle
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DerivativeRule:
+class DerivativeRule(NamedTuple):
     """Image of d/dt on the indeterminate: p maps to p' * substitution_factor."""
 
     substitution_factor: RationalPolynomial

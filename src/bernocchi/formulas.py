@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, interpolate
 from .stirling import shared_triangle
@@ -378,8 +378,7 @@ def euler_at_zero(n: int) -> Fraction:
     return genocchi_theorem(2 * n) / (2 * n)
 
 
-@dataclass(frozen=True)
-class _Formula:
+class _Formula(NamedTuple):
     """One registry row.  `evaluate(n)` maps the index n to the function's
     own argument; a `genocchi` value is G_n and moves to the Bernoulli scale
     for comparison."""

@@ -10,12 +10,9 @@ compared on the Bernoulli scale through G_n = 2(1-2^n) B_n.
 from __future__ import annotations
 
 import enum
-import json
-import statistics
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import format_rational
 from .formulas import FormulaId, formula_bernoulli_value, is_applicable
@@ -39,8 +36,7 @@ class Verdict(enum.Enum):
     TRUSTED_DISSENT_FOUND = "TRUSTED_DISSENT_FOUND"
 
 
-@dataclass(frozen=True)
-class FormulaEvaluation:
+class FormulaEvaluation(NamedTuple):
     """One formula evaluated at one index; value is present iff error is None."""
 
     formula: FormulaId
@@ -54,8 +50,7 @@ class FormulaEvaluation:
         return self.error is None
 
 
-@dataclass(frozen=True)
-class IndexRecord:
+class IndexRecord(NamedTuple):
     """Consensus/dissent at a single index.  Dissent entries carry the
     dissenting value (or error text) in serialized form."""
 
@@ -65,8 +60,7 @@ class IndexRecord:
     dissenting: tuple[tuple[FormulaId, str], ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_n: int
     records: tuple[IndexRecord, ...]
     agreements: int
@@ -74,8 +68,7 @@ class VerificationReport:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     formula: FormulaId
     n: int
     repetitions: int
@@ -139,7 +132,7 @@ def verify_range(max_n: int) -> VerificationReport:
 def bench(
     formulas: Iterable[FormulaId], n_values: Iterable[int], repetitions: int
 ) -> list[BenchRecord]:
-    """Median wall-clock timings over the (formula, n) cross product.
+    """Lower-median wall-clock timings over the (formula, n) cross product.
 
     One warm-up evaluation per pair is excluded from the timings; the
     evaluated value must be byte-identical across repetitions.
@@ -162,9 +155,8 @@ def bench(
                 digests.add(format_rational(value))
             if len(digests) != 1:
                 raise RuntimeError(f"{fid.value} at n={n} gave varying values: {digests}")
-            records.append(
-                BenchRecord(fid, n, repetitions, statistics.median_low(times), digests.pop())
-            )
+            median_low = sorted(times)[(repetitions - 1) // 2]
+            records.append(BenchRecord(fid, n, repetitions, median_low, digests.pop()))
     return records
 
 
@@ -189,4 +181,6 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def report_to_json(report: VerificationReport) -> str:
+    import json  # loaded only when JSON is printed
+
     return json.dumps(report_to_dict(report), indent=2)

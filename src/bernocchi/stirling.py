@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from math import comb, factorial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "StirlingTriangle",
@@ -55,8 +54,7 @@ class TriangleInvariantError(TriangleFileError):
     """File parsed, but its contents violate a triangle invariant."""
 
 
-@dataclass(frozen=True)
-class StirlingTriangle:
+class StirlingTriangle(NamedTuple):
     """Rows S(n, 0..n) for n = 0..max_n; immutable once built."""
 
     max_n: int

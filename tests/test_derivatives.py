@@ -80,6 +80,14 @@ def test_iterate_matches_fraction_loop(factor, start, k):
     assert DerivativeRule(factor).iterate(k, start) == expected
 
 
+def test_rule_record_contract():
+    assert DerivativeRule._fields == ("substitution_factor",)
+    with pytest.raises(AttributeError):
+        LOGISTIC_RULE.substitution_factor = X
+    with pytest.raises(AttributeError):
+        LOGISTIC_RULE.extra = X
+
+
 def test_rule_iterate_rejects_negative():
     with pytest.raises(ValueError):
         reciprocal_expm1_rule(1).iterate(-1)

@@ -480,6 +480,16 @@ def test_formula_registry_flags():
         assert (fid.trusted, fid.even_only) == (trusted, even_only), fid
 
 
+def test_registry_row_record_contract():
+    row = formulas._Formula(bernoulli_higgins)
+    assert formulas._Formula._fields == ("evaluate", "lowest", "even_only", "trusted", "genocchi")
+    assert row[1:] == (0, False, True, False)
+    with pytest.raises(AttributeError):
+        row.lowest = 1
+    with pytest.raises(AttributeError):
+        row.extra = 1
+
+
 def test_applicability():
     assert is_applicable(FormulaId.SERIES_ORACLE, 0)
     assert is_applicable(FormulaId.GENOCCHI_THEOREM_16, 1)

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from bernocchi import harness
 from bernocchi.formulas import FormulaId, bernoulli_series_oracle
 from bernocchi.harness import (
+    BenchRecord,
+    FormulaEvaluation,
+    IndexRecord,
     Verdict,
+    VerificationReport,
     bench,
     evaluate_all,
     report_to_dict,
@@ -142,3 +147,48 @@ def test_bench_digests_match_consensus():
 def test_bench_rejects_inapplicable_pair():
     with pytest.raises(ValueError):
         bench([FormulaId.FAULHABER_RECURSION_13], [7], 1)
+
+
+def test_bench_reports_the_lower_median_for_an_even_count(monkeypatch):
+    # Two clock reads per repetition; the warm-up is not timed.
+    durations = [40, 10, 30, 20]
+    reads = iter([t for d in durations for t in (0, d)])
+    monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: next(reads))
+    (record,) = bench([FormulaId.SERIES_ORACLE], [8], repetitions=4)
+    assert record.median_ns == 20
+
+
+@pytest.mark.parametrize(
+    "record_type, fields",
+    [
+        (FormulaEvaluation, ("formula", "n", "value", "elapsed_ns", "error")),
+        (IndexRecord, ("n", "consensus", "agreeing", "dissenting")),
+        (VerificationReport, ("max_n", "records", "agreements", "dissents", "verdict")),
+        (BenchRecord, ("formula", "n", "repetitions", "median_ns", "value")),
+    ],
+)
+def test_record_fields_keep_their_order(record_type, fields):
+    assert record_type._fields == fields
+
+
+def test_records_are_immutable():
+    report = verify_range(2)
+    (bench_record,) = bench([FormulaId.SERIES_ORACLE], [8], 1)
+    for record in (evaluate_all(2)[0], report.records[0], report, bench_record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[1], 3)
+        with pytest.raises(AttributeError):
+            record.extra = 3
+
+
+def test_formula_evaluation_defaults_to_no_error():
+    evaluation = FormulaEvaluation(FormulaId.SERIES_ORACLE, 2, Fraction(1, 6), 0)
+    assert evaluation.error is None
+    assert evaluation.ok
+
+
+def test_bench_record_replace_keeps_the_other_fields():
+    record = BenchRecord(FormulaId.HIGGINS_9, 8, 3, 1234, "-1/30")
+    zeroed = record._replace(median_ns=0)
+    assert zeroed == BenchRecord(FormulaId.HIGGINS_9, 8, 3, 0, "-1/30")
+    assert type(zeroed) is BenchRecord

@@ -6,6 +6,7 @@ import pytest
 
 from bernocchi import reset_caches, stirling
 from bernocchi.stirling import (
+    StirlingTriangle,
     TriangleFormatError,
     TriangleInvariantError,
     TriangleVersionError,
@@ -185,6 +186,17 @@ def test_shared_triangle_grows_and_snapshots():
     assert small.max_n == 3
     assert big.row(3) == small.row(3)
     assert big.value(12, 3) == triangle_build(12).value(12, 3)
+
+
+def test_triangle_record_contract():
+    assert StirlingTriangle._fields == ("max_n", "rows")
+    first, second = shared_triangle(5), shared_triangle(5)
+    assert first == second
+    assert hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.max_n = 6
+    with pytest.raises(AttributeError):
+        first.extra = 6
 
 
 def test_save_load_round_trip(tmp_path):
