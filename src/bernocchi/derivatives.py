@@ -14,10 +14,10 @@ no transcendental evaluation is involved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import NamedTuple
 
-from .polynomial import RationalPolynomial, X, _integer_form
+from .polynomial import RationalPolynomial, X
 from .stirling import shared_triangle
 
 __all__ = [
@@ -40,24 +40,22 @@ class DerivativeRule(NamedTuple):
     def iterate(self, k: int, start: RationalPolynomial = X) -> RationalPolynomial:
         """The rule applied k times to start, in integers.
 
-        With the factor written c*F (F primitive with integer coefficients)
-        and the start s/e (s integer), the k-th iterate is (c^k/e) q_k where
-        q_0 = s and q_(i+1) = q_i' F, so only the final scaling is rational.
+        With the factor F/d and the start s/e (F and s their integer
+        numerators), the k-th iterate is q_k / (d^k e) where q_0 = s and
+        q_(i+1) = q_i' F, so only the final construction divides.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        d, f = _integer_form(self.substitution_factor.coefficients)
-        g = gcd(*f)
-        terms = [(j, b // g) for j, b in enumerate(f) if b]
-        e, q = _integer_form(start.coefficients)
+        f = self.substitution_factor.numerators
+        terms = [(j, b) for j, b in enumerate(f) if b]
+        q = start.numerators
         for _ in range(k):
             dq = [i * a for i, a in enumerate(q) if i]
             q = [0] * (len(dq) + len(f) - 1) if dq and f else []
             for j, b in terms:
                 for i, a in enumerate(dq, j):
                     q[i] += b * a
-        scale = Fraction(g, d) ** k / e
-        return RationalPolynomial(scale * a for a in q)
+        return RationalPolynomial(q, self.substitution_factor.denominator**k * start.denominator)
 
 
 def reciprocal_expm1_rule(alpha: Fraction | int) -> DerivativeRule:
@@ -108,20 +106,19 @@ def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
 def genocchi_from_derivatives(k: int) -> Fraction:
     """G_k = 2k times the (k-1)-th logistic derivative polynomial evaluated at 1/2.
 
-    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1).  With d the
-    degree and c_m the coefficients (integers for this rule),
-    2^d p(1/2) = sum_m c_m 2^(d-m), so 2k times that sum is divided once by
-    2^d.  G_k is an integer, so a remainder signals a bug and raises.
+    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1).  With the
+    polynomial c/e (c its integer numerators) of degree d,
+    2^d e p(1/2) = sum_m c_m 2^(d-m), so 2k times that sum is divided once by
+    2^d e.  G_k is an integer, so a remainder signals a bug and raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
     p = logistic_derivative_polynomial(k - 1)
-    e, coefficients = _integer_form(p.coefficients)
     total = 0
-    for c in coefficients:  # sum_m c_m 2^(d-m), by Horner from c_0
+    for c in p.numerators:  # sum_m c_m 2^(d-m), by Horner from c_0
         total = 2 * total + c
     scaled = 2 * k * total
-    divisor = e << p.degree
+    divisor = p.denominator << p.degree
     value, remainder = divmod(scaled, divisor)
     if remainder:
         raise ArithmeticError(

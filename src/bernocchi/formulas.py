@@ -241,15 +241,16 @@ def bernoulli_faulhaber_recursion(k: int) -> Fraction:
     choice is a resolved ambiguity: it reproduces B_2 = 1/6, B_4 = -1/30 and
     B_6 = 1/42, while exponent 2k gives 3/10 at k = 2 and is rejected.
 
-    The tail, over the even m = 2..2k-2, is summed in integers over the
-    common denominator lcm of the (m+1) * denominator(A_m), and reduced once.
+    The tail, over the even m = 2..2k-2, is summed in integers: with the
+    table's integer numerators a_m over its denominator e and
+    L = lcm(3, 5, .., 2k-1), it is sum_m a_m (L/(m+1)), divided once by L*e.
     """
     if k < 1:
         raise ValueError("k must be positive")
     table = faulhaber_coefficients(2 * k - 1)
-    terms = [(table.coefficient(m), m + 1) for m in range(2, 2 * k, 2)]
-    common = lcm(*(a.denominator * d for a, d in terms))
-    tail = sum(a.numerator * (common // (a.denominator * d)) for a, d in terms)
+    common = lcm(*range(3, 2 * k, 2))
+    tail = sum(table.numerators[m] * (common // (m + 1)) for m in range(2, 2 * k, 2))
+    common *= table.denominator
     return Fraction(1, 2) - Fraction(1, 2 * k + 1) - Fraction(2 * k * tail, common)
 
 

@@ -2,53 +2,69 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
 
 __all__ = ["RationalPolynomial", "X", "interpolate"]
 
 
-class RationalPolynomial:
-    """Immutable polynomial; coefficient i is the coefficient of x**i.
+def _integer_form(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """(e, s) with values = s/e: e the lcm of the denominators, s integers."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    e = lcm(*(v.denominator for v in values))
+    return e, [v.numerator * (e // v.denominator) for v in values]
 
-    Trailing zero coefficients are trimmed, so the highest stored
-    coefficient is nonzero and equality is structural.  The zero
-    polynomial stores no coefficients and has degree ``None``.
+
+class RationalPolynomial:
+    """Immutable polynomial; coefficient i of x**i is numerators[i] / denominator.
+
+    Canonical form: integer numerators, denominator > 0, gcd(denominator,
+    *numerators) == 1 and trailing zeros trimmed, so == and hash are
+    structural.  The zero polynomial is () over 1, of degree ``None``.
+    ``coefficients`` builds the reduced ``Fraction``s on each access.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("numerators", "denominator")
 
-    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    def __init__(self, coefficients: Iterable[Fraction | int] = (), denominator: int = 1):
+        """The polynomial with coefficients c_i / denominator, each c_i anything Fraction takes."""
+        den, nums = _integer_form(coefficients)
+        den *= denominator
+        if not den:
+            raise ZeroDivisionError("RationalPolynomial denominator is zero")
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        object.__setattr__(self, "numerators", tuple(n // g for n in nums))
+        object.__setattr__(self, "denominator", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    @property
     def degree(self) -> int | None:
-        if not self.coefficients:
-            return None
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1 if self.numerators else None
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
+        if 0 <= i < len(self.numerators):
+            return Fraction(self.numerators[i], self.denominator)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coefficients, other.coefficients
@@ -67,7 +83,7 @@ class RationalPolynomial:
 
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, RationalPolynomial):
-            if not self.coefficients or not other.coefficients:
+            if not self.numerators or not other.numerators:
                 return RationalPolynomial()
             prod = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
@@ -99,12 +115,6 @@ class RationalPolynomial:
 X = RationalPolynomial((0, 1))
 
 
-def _integer_form(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(e, s) with values = s/e: e the lcm of the denominators, s integers."""
-    e = lcm(*(v.denominator for v in values))
-    return e, [v.numerator * (e // v.denominator) for v in values]
-
-
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RationalPolynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
@@ -125,8 +135,8 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     N!/j!.  On scattered rational nodes scale_N grows faster than the lcm
     of a Lagrange form would.
     """
-    d, nodes = _integer_form([Fraction(x) for x, _ in points])
-    e, level = _integer_form([Fraction(y) for _, y in points])
+    d, nodes = _integer_form([x for x, _ in points])
+    e, level = _integer_form([y for _, y in points])
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation abscissas must be distinct")
 
@@ -150,5 +160,4 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
         acc = list(map(sub, [0, *acc], [*map(node.__mul__, acc), 0]))
         acc[0] += top * weight
         weight *= step
-    denominator = weight * e
-    return RationalPolynomial(Fraction(c * d**m, denominator) for m, c in enumerate(acc))
+    return RationalPolynomial([c * d**m for m, c in enumerate(acc)], weight * e)

@@ -19,6 +19,16 @@ def test_every_module_defines_what_its_all_names():
     assert checked
 
 
+def test_only_polynomial_holds_the_integer_form_helper():
+    for info in pkgutil.iter_modules(bernocchi.__path__, "bernocchi."):
+        importlib.import_module(info.name)
+    holders = [
+        name for name, module in sys.modules.items()
+        if name.startswith("bernocchi.") and hasattr(module, "_integer_form")
+    ]
+    assert holders == ["bernocchi.polynomial"]
+
+
 def test_cli_import_loads_no_module_the_commands_do_not_run():
     # dataclasses alone pulls in inspect, ast, dis and tokenize; json is
     # loaded only by the code that prints JSON.  Modules that the

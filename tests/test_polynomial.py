@@ -1,11 +1,13 @@
 """Dense rational polynomials: derivative, evaluation, interpolation."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernocchi.polynomial import RationalPolynomial, X, interpolate
+from test_derivatives import polynomials
 
 
 def eval_by_powers(p, v):
@@ -16,6 +18,39 @@ def eval_by_powers(p, v):
 def test_trailing_zeros_trimmed():
     assert RationalPolynomial((1, 2, 0, 0)) == RationalPolynomial((1, 2))
     assert RationalPolynomial((0, 0)).is_zero()
+
+
+def test_one_polynomial_has_one_stored_form():
+    forms = [
+        RationalPolynomial((Fraction(1, 2), 0)),
+        RationalPolynomial((1,), 2),
+        RationalPolynomial((2,), 4),
+        RationalPolynomial((-1,), -2),
+    ]
+    for p in forms:
+        assert (p.numerators, p.denominator) == ((1,), 2)
+        assert p == forms[0] and hash(p) == hash(forms[0])
+    zero = RationalPolynomial((0, 0), 7)
+    assert (zero.numerators, zero.denominator) == ((), 1)
+
+
+def test_constructor_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        RationalPolynomial((1, 2), 0)
+
+
+def test_constructor_accepts_what_fraction_accepts():
+    p = RationalPolynomial(["1/2", 0.25])
+    assert p == RationalPolynomial((Fraction(1, 2), Fraction(1, 4)))
+    assert (p.numerators, p.denominator) == ((2, 1), 4)
+
+
+@given(polynomials)
+def test_stored_form_is_canonical(p):
+    assert RationalPolynomial(p.numerators, p.denominator) == p
+    assert RationalPolynomial(p.coefficients) == p
+    assert p.denominator > 0
+    assert gcd(p.denominator, *p.numerators) == 1
 
 
 def test_zero_polynomial_has_no_degree():
@@ -79,6 +114,14 @@ def test_interpolate_with_rational_nodes():
     target = Fraction(1, 4) * X * X + Fraction(1, 2) * X
     nodes = (Fraction(-1, 2), 0, Fraction(3, 2))
     assert interpolate([(v, target(v)) for v in nodes]) == target
+
+
+def test_interpolate_on_decreasing_nodes_keeps_a_positive_denominator():
+    # Steps -1, -2, -3: four nodes give the Newton denominator -6 before
+    # the constructor normalises its sign.
+    for points in ([(3, 9), (2, 4), (1, 1)], [(4, 16), (3, 9), (2, 4), (1, 1)]):
+        p = interpolate(points)
+        assert p == X * X and p.denominator > 0
 
 
 def test_interpolate_rejects_duplicate_nodes():
