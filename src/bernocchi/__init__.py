@@ -2,7 +2,7 @@
 and Stirling-number formulas, with a CLI for tables, verification reports
 and micro-benchmarks."""
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational
 from .polynomial import RationalPolynomial, X, interpolate
 from .stirling import (
     StirlingTriangle,

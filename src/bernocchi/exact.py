@@ -8,12 +8,9 @@ mathematical equality.  Every output writes a rational as "p" or "p/q".
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
-__all__ = ["format_rational", "parse_rational"]
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+__all__ = ["format_rational"]
 
 
 def format_rational(value: Fraction) -> str:
@@ -23,12 +20,3 @@ def format_rational(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; rejects anything but "p" or "p/q"."""
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None

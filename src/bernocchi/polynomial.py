@@ -55,9 +55,6 @@ class RationalPolynomial:
             return Fraction(self.numerators[i], self.denominator)
         return Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
@@ -65,38 +62,6 @@ class RationalPolynomial:
 
     def __hash__(self) -> int:
         return hash((self.numerators, self.denominator))
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return RationalPolynomial(summed)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(-c for c in self.coefficients)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            if not self.numerators or not other.numerators:
-                return RationalPolynomial()
-            prod = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    prod[i + j] += a * b
-            return RationalPolynomial(prod)
-        return RationalPolynomial(Fraction(other) * c for c in self.coefficients)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalPolynomial":
-        """Formal derivative; drops the degree by one for nonconstant input."""
-        return RationalPolynomial(i * c for i, c in enumerate(self.coefficients) if i)
 
     def __call__(self, v: Fraction | int) -> Fraction:
         """Exact Horner evaluation at v."""

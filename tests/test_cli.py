@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import bernocchi
-from bernocchi import reset_caches, stirling
+from bernocchi import formulas, reset_caches, stirling
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
 from bernocchi.exact import format_rational
-from bernocchi.formulas import bernoulli_series_oracle
+from bernocchi.formulas import FormulaId, bernoulli_series_oracle
+from bernocchi.harness import Verdict, verify_range
 
 
 def run(capsys, *argv):
@@ -81,6 +82,17 @@ def test_verify_exit_codes(capsys):
 
     code, _, _ = run(capsys, "verify", "--max-n", "1", "--strict")
     assert code == 0  # no even index >= 2, hence nothing dissents
+
+
+def test_verify_exits_two_on_a_trusted_dissent(capsys, monkeypatch):
+    higgins = formulas.bernoulli_higgins
+    monkeypatch.setattr(formulas, "bernoulli_higgins", lambda n: higgins(n) + (n == 3))
+    report = verify_range(4)
+    assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
+    assert report.records[3].dissenting == ((FormulaId.HIGGINS_9, "1"),)
+    code, out, _ = run(capsys, "verify", "--max-n", "4")  # no --strict
+    assert code == 2
+    assert "TRUSTED_DISSENT_FOUND" in out
 
 
 def test_verify_rejects_negative_max(capsys):
@@ -323,6 +335,18 @@ def test_no_command_reads_the_cache_file(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == expected[0] == 0, argv
         assert out == expected[1], argv
+
+
+def test_cache_dir_falls_back_to_xdg_then_home(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("BERNOCCHI_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    code, out, _ = run(capsys, "cache", "path")
+    assert (code, out) == (0, f"{tmp_path}/bernocchi/stirling2.txt\n")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    code, out, _ = run(capsys, "cache", "path")
+    assert (code, out) == (0, f"{tmp_path}/.cache/bernocchi/stirling2.txt\n")
 
 
 def test_cache_unwritable_directory(capsys, tmp_path, monkeypatch):

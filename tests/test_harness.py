@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernocchi import harness
+from bernocchi import formulas, harness
 from bernocchi.formulas import FormulaId, bernoulli_series_oracle
 from bernocchi.harness import (
     BenchRecord,
@@ -96,6 +96,28 @@ def test_dissent_value_at_two_and_four():
     )
 
 
+def test_a_raising_formula_becomes_a_dissent_entry(monkeypatch):
+    def boom(n):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(formulas, "bernoulli_gould_double", boom)
+    report = verify_range(4)
+    assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
+    assert [r.n for r in report.records] == [0, 1, 2, 3, 4]  # the sweep goes on
+    for record in report.records:
+        assert (FormulaId.GOULD_DOUBLE_11, "ERROR: ZeroDivisionError: boom") in record.dissenting
+        assert record.consensus == bernoulli_series_oracle(record.n)
+
+
+def test_a_raising_oracle_aborts_the_sweep(monkeypatch):
+    def boom(n):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(formulas, "bernoulli_series_oracle", boom)
+    with pytest.raises(RuntimeError, match="series oracle failed at n=0"):
+        verify_range(4)
+
+
 def test_verify_range_deterministic():
     assert verify_range(12) == verify_range(12)
 
@@ -142,6 +164,13 @@ def test_bench_digests_match_consensus():
         assert record.value == (
             str(expected) if expected.denominator == 1 else f"{expected.numerator}/{expected.denominator}"
         )
+
+
+def test_bench_rejects_a_varying_value(monkeypatch):
+    calls = iter(range(100))
+    monkeypatch.setattr(formulas, "bernoulli_higgins", lambda n: Fraction(next(calls)))
+    with pytest.raises(RuntimeError, match="varying"):
+        bench([FormulaId.HIGGINS_9], [8], 2)
 
 
 def test_bench_rejects_inapplicable_pair():

@@ -273,6 +273,30 @@ def test_load_garbled_entry(tmp_path):
         triangle_load(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        ("max_n=2", "max_n=x", TriangleFormatError, "bad max_n"),
+        ("max_n=2", "max_n=-1", TriangleFormatError, "negative max_n"),
+        ("END 6", "END 6 6", TriangleFormatError, "bad END line"),
+        ("END 6", "END x", TriangleFormatError, "bad END count"),
+        ("2 1 1", "2 1", TriangleFormatError, "bad entry line"),
+        ("2 0 0\n2 1 1", "2 1 1\n2 0 0", TriangleInvariantError, "out of place"),
+        ("1 1 1", "1 1 2", TriangleInvariantError, r"S\(1,1\)"),
+        ("1 0 0", "1 0 5", TriangleInvariantError, r"S\(1,0\)"),
+        ("2 1 1", "2 1 -1", TriangleInvariantError, "negative entry"),
+    ],
+)
+def test_load_rejects_a_malformed_file(tmp_path, old, new, error, message):
+    path = tmp_path / "malformed.txt"
+    triangle_save(triangle_build(2), path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(error, match=message):
+        triangle_load(path)
+
+
 def test_load_non_ascii_file(tmp_path):
     path = tmp_path / "utf16.txt"
     path.write_bytes(b"\xff\xfe" + "STIRLING2 v1 max_n=0\n0 0 1\nEND 1\n".encode("utf-16-le"))
