@@ -18,7 +18,7 @@ import threading
 from collections.abc import Callable
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, interpolate
@@ -163,30 +163,39 @@ def bernoulli_stirling_single(n: int) -> Fraction:
 
 def bernoulli_gould_double(n: int) -> Fraction:
     """B_n by the double sum
-    sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! sum_{k=0..j} (-1)^(j-k) C(j,k) k^(n+j),
-    with 0^0 = 1.
+    sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! I_j,
+    I_j = sum_{k=0..j} (-1)^(j-k) C(j,k) k^(n+j), with 0^0 = 1.
 
     Summed in integers over the common denominator (2n)!/n!, so term j is
-    weighted by the integer (2n)!/(n+j)!, and reduced once.  The signs
-    combine to (-1)^j (-1)^(j-k) = (-1)^k.  C(n+1, j+1) is a running
-    product.  The inner terms t_k = (-1)^k C(j,k) k^(n+j) are carried from
-    one j to the next: since C(j,k) = C(j-1,k) j/(j-k), each t_k for k < j
-    becomes the exact quotient t_k k j // (j-k), and t_j = (-1)^j j^(n+j) is
-    appended.
+    weighted by the integer (2n)!/(n+j)!, and reduced once.  C(n+1, j+1) is
+    a running product.
+
+    I_j is the j-th forward difference of t^(n+j) at 0.  Write
+    E_j(x) = Delta^j[t^(n+j)](x).  The Leibniz rule for differences,
+    Delta(t g)(x) = x Delta g(x) + g(x+1), gives by induction on m
+    Delta^m(t g)(x) = x Delta^m g(x) + m Delta^(m-1) g(x+1).  Take m = j+1
+    and g = t^(n+j), and use Delta^(j+1) g(x) = E_j(x+1) - E_j(x):
+
+        E_0(x) = x^n,  E_{j+1}(x) = (x+j+1) E_j(x+1) - x E_j(x),  I_j = E_j(0).
+
+    Level j is kept for x = 0..n-j, one entry fewer than the level before,
+    and each entry costs two multiplications by small integers and one
+    subtraction: no division, no binomial coefficient and no power after
+    the first level.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     common = factorial(2 * n) // factorial(n)
     weight = common  # (2n)!/(n+j)!
     outer = n + 1  # C(n+1, j+1)
-    terms = [0**n]  # (-1)^k C(j,k) k^(n+j) for k = 0..j
+    values = [x**n for x in range(n + 1)]  # E_j(x) for x = 0..n-j
     total = 0
     for j in range(n + 1):
         if j:
             weight //= n + j
-            terms = [t * (k * j) // (j - k) for k, t in enumerate(terms)]
-            terms.append((-1) ** j * j ** (n + j))
-        total += outer * weight * sum(terms)
+            shifted = map(mul, values[1:], range(j, n + 1))  # (x+j) E_{j-1}(x+1)
+            values = list(map(sub, shifted, map(mul, values, range(n + 1 - j))))
+        total += (-1) ** j * outer * weight * values[0]
         outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)
 

@@ -64,12 +64,21 @@ class RationalPolynomial:
         return hash((self.numerators, self.denominator))
 
     def __call__(self, v: Fraction | int) -> Fraction:
-        """Exact Horner evaluation at v."""
+        """Exact evaluation at v = a/b, in integers, reduced once.
+
+        With d the degree, p(v) = sum_i c_i a^i b^(d-i) / (denominator b^d).
+        Horner's rule over the numerators c_i builds that sum as
+        acc <- acc*a + c_i b^(d-i), i = d..0, carrying the power of b.
+        """
         v = Fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * v + c
-        return acc
+        a, b = v.numerator, v.denominator
+        acc, scale = 0, 1  # scale = b^(d-i)
+        for c in reversed(self.numerators):
+            acc = acc * a + c * scale
+            scale *= b
+        # scale ends at b^(d+1): acc * b cancels the extra factor, and the
+        # zero polynomial (no numerators) gives 0 / denominator.
+        return Fraction(acc * b, self.denominator * scale)
 
     evaluate = __call__
 

@@ -203,6 +203,14 @@ def test_gould_double_equals_the_printed_double_sum():
         assert bernoulli_gould_double(n) == gould_double_reference(n), n
 
 
+def test_gould_double_equals_the_tangent_numbers_beyond_the_reference():
+    tangents = tangent_numbers(128)
+    for n in (150, 200, 256):
+        assert bernoulli_gould_double(n) == bernoulli_from_tangent(n // 2, tangents[n // 2]), n
+    for n in (151, 201):
+        assert bernoulli_gould_double(n) == 0, n
+
+
 def test_stirling_ratio_examples():
     assert bernoulli_stirling_ratio(0) == 1
     # -S(3,1) + (1/6) S(4,2) = -1 + 7/6

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernocchi.formulas import faulhaber_coefficients
 from bernocchi.polynomial import RationalPolynomial, X, interpolate
 from test_derivatives import polynomials
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def eval_by_powers(p, v):
@@ -72,6 +75,31 @@ def test_evaluation_matches_power_sum_oracle():
         assert p(v) == eval_by_powers(p, v)
 
 
+def eval_by_fraction_horner(p, v):
+    """Independent oracle for the integer evaluation: Horner's rule in Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * Fraction(v) + c
+    return acc
+
+
+@given(polynomials, rationals)
+def test_evaluation_matches_fraction_horner(p, v):
+    # Covers the zero polynomial and negative and non-integer points.
+    assert p(v) == p.evaluate(v) == eval_by_fraction_horner(p, v)
+
+
+def test_evaluation_matches_fraction_horner_on_faulhaber_tables():
+    points = (0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7), Fraction(-5, 64))
+    for p in range(40):
+        table = faulhaber_coefficients(p)
+        for v in points:
+            assert table(v) == eval_by_fraction_horner(table, v), (p, v)
+    zero = RationalPolynomial()
+    for v in points:
+        assert zero(v) == 0 and isinstance(zero(v), Fraction)
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         X.coefficients = ()
@@ -115,9 +143,6 @@ def newton_interpolate(points):
         coeffs = [a - xs[i] * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         coeffs[0] += newton[i]
     return RationalPolynomial(coeffs)
-
-
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @st.composite
