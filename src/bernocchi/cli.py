@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .cache import cache_dir, cache_file
 from .exact import format_rational
@@ -119,6 +118,8 @@ def cmd_verify(args) -> int:
         for record in report.records:
             agreeing = ";".join(fid.value for fid in record.agreeing)
             dissenting = ";".join(f"{fid.value}={v}" for fid, v in record.dissenting)
+            if any(c in dissenting for c in ',"\r\n'):  # error text: quote it as RFC 4180 does
+                dissenting = '"' + dissenting.replace('"', '""') + '"'
             print(f"{record.n},{format_rational(record.consensus)},{agreeing},{dissenting}")
     else:
         print(f"max_n: {report.max_n}")
@@ -163,7 +164,7 @@ def cmd_table(args) -> int:
         tangents = tangent_numbers(args.max_n // 2)
         entries = [(0, B0), (1, B1)][: args.max_n + 1]
         entries += [
-            (n, Fraction(0) if n % 2 else bernoulli_from_tangent(n // 2, tangents[n // 2]))
+            (n, 0 if n % 2 else bernoulli_from_tangent(n // 2, tangents[n // 2]))
             for n in range(2, args.max_n + 1)
         ]
     else:

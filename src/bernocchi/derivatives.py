@@ -106,22 +106,14 @@ def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
 def genocchi_from_derivatives(k: int) -> Fraction:
     """G_k = 2k times the (k-1)-th logistic derivative polynomial evaluated at 1/2.
 
-    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1).  With the
-    polynomial c/e (c its integer numerators) of degree d,
-    2^d e p(1/2) = sum_m c_m 2^(d-m), so 2k times that sum is divided once by
-    2^d e.  G_k is an integer, so a remainder signals a bug and raises.
+    The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1), and
+    p(1/2) is evaluated in integers and reduced once by
+    RationalPolynomial.__call__.  G_k is an integer, so a denominator other
+    than 1 signals a bug and raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    p = logistic_derivative_polynomial(k - 1)
-    total = 0
-    for c in p.numerators:  # sum_m c_m 2^(d-m), by Horner from c_0
-        total = 2 * total + c
-    scaled = 2 * k * total
-    divisor = p.denominator << p.degree
-    value, remainder = divmod(scaled, divisor)
-    if remainder:
-        raise ArithmeticError(
-            f"G_{k} via derivative polynomials came out non-integer: {Fraction(scaled, divisor)}"
-        )
-    return Fraction(value)
+    value = 2 * k * logistic_derivative_polynomial(k - 1)(Fraction(1, 2))
+    if value.denominator != 1:
+        raise ArithmeticError(f"G_{k} via derivative polynomials came out non-integer: {value}")
+    return value

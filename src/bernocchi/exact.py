@@ -13,10 +13,7 @@ from fractions import Fraction
 __all__ = ["format_rational"]
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize as "p/q" (q > 0, gcd(p,q)=1), or plain "p" when q == 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int) -> str:
+    """The text of str(Fraction(value)): "p/q" (q > 0, gcd(p,q)=1), or "p" when q == 1."""
+    return str(Fraction(value))
 

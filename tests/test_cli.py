@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, exit-status contract, cache behavior."""
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -146,6 +148,35 @@ def test_bench_json_bytes_are_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "480b276f986529df11113e2239da63a51858fdef2c237bcb4affdab48f2db7c7"
+
+
+def test_verify_csv_quotes_an_error_text_with_a_comma(capsys, monkeypatch):
+    def failing(n):
+        raise ValueError('triangle holds rows up to 3, row 4 requested "here"')
+
+    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "csv")
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["n", "consensus", "agreeing", "dissenting"]
+    assert [len(row) for row in rows] == [4] * 6
+    assert rows[1][3] == (
+        'GOULD_DOUBLE_11=ERROR: ValueError: triangle holds rows up to 3, row 4 requested "here"'
+    )
+    assert rows[3][3].startswith("GOULD_DOUBLE_11=ERROR: ") and rows[3][3].endswith(
+        ";TANGENT_DOUBLE_14_AS_PRINTED=1/3"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "bernoulli", "-1"), "max_n must be nonnegative"),
+        (("bench", "--max-n", "-1"), "--max-n must be nonnegative"),
+    ],
+)
+def test_negative_sizes_exit_one_with_the_message(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"bernocchi: error: {message}\n")
 
 
 def test_verify_csv_layout(capsys):

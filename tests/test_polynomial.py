@@ -63,6 +63,24 @@ def test_zero_polynomial_has_no_degree():
     assert RationalPolynomial((0, 0, 1)).degree == 2
 
 
+def test_coefficient_outside_the_stored_range_is_zero():
+    p = RationalPolynomial((Fraction(1, 2), 3))
+    assert [p.coefficient(i) for i in (-2, -1, 0, 1, 2, 5)] == [0, 0, Fraction(1, 2), 3, 0, 0]
+    assert RationalPolynomial().coefficient(0) == 0
+
+
+def test_equality_with_a_non_polynomial_is_false():
+    p = RationalPolynomial((1, 2))
+    assert (p == (1, 2)) is False
+    assert (p == ((1, 2), 1)) is False
+    assert p != (1, 2)
+
+
+@given(polynomials)
+def test_repr_evaluates_back_to_the_polynomial(p):
+    assert eval(repr(p), {"RationalPolynomial": RationalPolynomial, "Fraction": Fraction}) == p
+
+
 def test_evaluation_examples():
     assert RationalPolynomial((0, -1, 1))(Fraction(1, 2)) == Fraction(-1, 4)
     assert X(Fraction(1, 2)) == Fraction(1, 2)
