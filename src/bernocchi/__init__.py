@@ -1,69 +1,16 @@
 """Exact computation and differential verification of Bernoulli, Genocchi
 and Stirling-number formulas, with a CLI for tables, verification reports
-and micro-benchmarks."""
+and micro-benchmarks.
 
-from .exact import format_rational
-from .polynomial import RationalPolynomial, X, interpolate
-from .stirling import (
-    StirlingTriangle,
-    TriangleFileError,
-    TriangleFormatError,
-    TriangleInvariantError,
-    TriangleVersionError,
-    set_partitions,
-    shared_triangle,
-    stirling_enumerate,
-    stirling_explicit,
-    stirling_via_series,
-    triangle_build,
-    triangle_load,
-    triangle_save,
-)
-from .formulas import (
-    B0,
-    B1,
-    FormulaId,
-    bernoulli_double_stirling,
-    bernoulli_faulhaber_recursion,
-    bernoulli_from_genocchi,
-    bernoulli_from_tangent,
-    bernoulli_gould_double,
-    bernoulli_higgins,
-    bernoulli_series_oracle,
-    bernoulli_stirling_ratio,
-    bernoulli_stirling_single,
-    bernoulli_tangent_double_as_printed,
-    euler_at_zero,
-    faulhaber_coefficients,
-    formula_bernoulli_value,
-    formula_value,
-    genocchi_from_bernoulli,
-    genocchi_theorem,
-    is_applicable,
-    tangent_numbers,
-)
-from .derivatives import (
-    DerivativeRule,
-    LOGISTIC_RULE,
-    derivative_polynomial,
-    derivative_polynomial_reference,
-    genocchi_from_derivatives,
-    logistic_derivative_polynomial,
-    logistic_derivative_polynomial_reference,
-    reciprocal_expm1_rule,
-)
-from .harness import (
-    BenchRecord,
-    FormulaEvaluation,
-    IndexRecord,
-    Verdict,
-    VerificationReport,
-    bench,
-    evaluate_all,
-    report_to_dict,
-    report_to_json,
-    verify_range,
-)
+Every name in a library module's ``__all__`` is importable from here; the
+``cache`` helpers are not."""
+
+from .exact import *
+from .polynomial import *
+from .stirling import *
+from .formulas import *
+from .derivatives import *
+from .harness import *
 
 from . import formulas as _formulas, stirling as _stirling
 

@@ -107,6 +107,14 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _dissents(record, sep: str) -> str:
+    """The record's dissents joined by sep, with % and sep percent-encoded in each value."""
+    escaped = f"%{ord(sep):02X}"
+    return sep.join(
+        f"{fid.value}={v.replace('%', '%25').replace(sep, escaped)}" for fid, v in record.dissenting
+    )
+
+
 def cmd_verify(args) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
@@ -117,7 +125,7 @@ def cmd_verify(args) -> int:
         print("n,consensus,agreeing,dissenting")
         for record in report.records:
             agreeing = ";".join(fid.value for fid in record.agreeing)
-            dissenting = ";".join(f"{fid.value}={v}" for fid, v in record.dissenting)
+            dissenting = _dissents(record, ";")
             if any(c in dissenting for c in ',"\r\n'):  # error text: quote it as RFC 4180 does
                 dissenting = '"' + dissenting.replace('"', '""') + '"'
             print(f"{record.n},{format_rational(record.consensus)},{agreeing},{dissenting}")
@@ -129,9 +137,7 @@ def cmd_verify(args) -> int:
             line = f"n={record.n} consensus={format_rational(record.consensus)}"
             line += f" agreeing={','.join(fid.value for fid in record.agreeing)}"
             if record.dissenting:
-                line += " dissenting=" + ",".join(
-                    f"{fid.value}={v}" for fid, v in record.dissenting
-                )
+                line += " dissenting=" + _dissents(record, ",")
             print(line)
     if report.verdict is Verdict.TRUSTED_DISSENT_FOUND:
         return 2

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,35 @@ def test_verify_csv_quotes_an_error_text_with_a_comma(capsys, monkeypatch):
     assert rows[3][3].startswith("GOULD_DOUBLE_11=ERROR: ") and rows[3][3].endswith(
         ";TANGENT_DOUBLE_14_AS_PRINTED=1/3"
     )
+
+
+SEPARATOR_MESSAGE = 'rows up to 3; row 4 requested, see "log" at 100%3B'
+
+
+def _separator_dissents(field, sep):
+    entries = [entry.split("=", 1) for entry in field.split(sep)]
+    return [(fid, urllib.parse.unquote(value)) for fid, value in entries]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt):
+    def failing(n):
+        raise ValueError(SEPARATOR_MESSAGE)
+
+    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", fmt)
+    assert code == 2
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [4] * 6
+        dissents = _separator_dissents(rows[3][3], ";")
+    else:
+        line = next(line for line in out.splitlines() if line.startswith("n=2 "))
+        dissents = _separator_dissents(line.split(" dissenting=", 1)[1], ",")
+    assert dissents == [
+        ("GOULD_DOUBLE_11", f"ERROR: ValueError: {SEPARATOR_MESSAGE}"),
+        ("TANGENT_DOUBLE_14_AS_PRINTED", "1/3"),
+    ]
 
 
 @pytest.mark.parametrize(

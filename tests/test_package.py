@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import bernocchi
@@ -44,3 +45,25 @@ def test_cli_import_loads_no_module_the_commands_do_not_run():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == []
+
+
+LIBRARY_MODULES = ("exact", "polynomial", "stirling", "formulas", "derivatives", "harness")
+
+
+def test_package_reexports_each_library_module_all():
+    exported = set()
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"bernocchi.{name}")
+        for attr in module.__all__:
+            assert getattr(bernocchi, attr) is getattr(module, attr), f"{name}.{attr}"
+        exported.update(module.__all__)
+    others = {
+        name for name, value in vars(bernocchi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    } - exported
+    assert others == {"reset_caches"}
+
+
+def test_package_does_not_reexport_the_cache_helpers():
+    for name in ("ENV_CACHE_DIR", "cache_dir", "cache_file"):
+        assert not hasattr(bernocchi, name), name

@@ -173,6 +173,12 @@ def test_series_route_raises_on_a_remainder(monkeypatch):
         stirling_via_series(9, 4)
 
 
+def test_explicit_sum_raises_on_a_remainder(monkeypatch):
+    monkeypatch.setattr(stirling, "factorial", lambda m: 7)  # 3! is 6
+    with pytest.raises(ArithmeticError, match=r"^sum for S\(5,3\) not divisible by 3!$"):
+        stirling_explicit(5, 3)
+
+
 def test_row_sums_satisfy_bell_recurrence():
     t = triangle_build(16)
     bell = [sum(t.row(n)) for n in range(17)]
@@ -310,6 +316,22 @@ def test_save_over_existing_file_leaves_no_temp_file(tmp_path):
     triangle_save(triangle_build(5), path)
     assert [p.name for p in tmp_path.iterdir()] == ["triangle.txt"]
     assert triangle_load(path) == triangle_build(5)
+
+
+def test_failed_replace_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "stirling2.txt"
+    triangle_save(triangle_build(3), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(stirling.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        triangle_save(triangle_build(5), path)
+    assert list(tmp_path.glob(".stirling2.txt.*.tmp")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["stirling2.txt"]
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("max_n", [3000, 10**9])
