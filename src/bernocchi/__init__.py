@@ -12,7 +12,7 @@ from .formulas import *
 from .derivatives import *
 from .harness import *
 
-from . import formulas as _formulas, stirling as _stirling
+from . import derivatives as _derivatives, formulas as _formulas, stirling as _stirling
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,10 @@ def reset_caches() -> None:
 
     The series oracle's integer state goes back to B_0 and B_1; the rows of
     e^x - 1 powers kept by the Stirling series route and the shared
-    Stirling rows go back to row 0.  No value changes, only the time taken
-    to reach it.
+    Stirling rows go back to row 0; the derivative route's memo of Genocchi
+    values and its last logistic iterate go back to G_1 and p_0 = x.  No
+    value changes, only the time taken to reach it.
     """
     _formulas._reset_oracle()
     _stirling._reset_memos()
+    _derivatives._reset_genocchi()

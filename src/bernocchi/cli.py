@@ -108,11 +108,14 @@ def cmd_compute(args) -> int:
 
 
 def _dissents(record, sep: str) -> str:
-    """The record's dissents joined by sep, with % and sep percent-encoded in each value."""
-    escaped = f"%{ord(sep):02X}"
-    return sep.join(
-        f"{fid.value}={v.replace('%', '%25').replace(sep, escaped)}" for fid, v in record.dissenting
-    )
+    """The record's dissents joined by sep, with %, sep, CR and LF percent-encoded in each value."""
+
+    def encode(value: str) -> str:
+        for c in ("%", sep, "\r", "\n"):  # % first, so no escape is encoded twice
+            value = value.replace(c, f"%{ord(c):02X}")
+        return value
+
+    return sep.join(f"{fid.value}={encode(v)}" for fid, v in record.dissenting)
 
 
 def cmd_verify(args) -> int:
@@ -126,7 +129,7 @@ def cmd_verify(args) -> int:
         for record in report.records:
             agreeing = ";".join(fid.value for fid in record.agreeing)
             dissenting = _dissents(record, ";")
-            if any(c in dissenting for c in ',"\r\n'):  # error text: quote it as RFC 4180 does
+            if any(c in dissenting for c in ',"'):  # error text: quote it as RFC 4180 does
                 dissenting = '"' + dissenting.replace('"', '""') + '"'
             print(f"{record.n},{format_rational(record.consensus)},{agreeing},{dissenting}")
     else:

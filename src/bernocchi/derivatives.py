@@ -13,8 +13,8 @@ no transcendental evaluation is involved.
 """
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, X
@@ -74,16 +74,27 @@ def derivative_polynomial(k: int, alpha: Fraction | int) -> RationalPolynomial:
     return reciprocal_expm1_rule(alpha).iterate(k)
 
 
-def derivative_polynomial_reference(k: int, alpha: Fraction | int) -> RationalPolynomial:
-    """Closed form (-1)^k alpha^k sum_{m=1..k+1} (m-1)! S(k+1,m) x^m."""
+def _factorial_stirling_terms(k: int) -> list[int]:
+    """(m-1)! S(k+1, m) for m = 1..k+1, with (m-1)! carried as a running product."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    t = shared_triangle(k + 1)
-    scale = Fraction(alpha) ** k * (-1) ** k
-    coeffs = [Fraction(0)] + [
-        scale * factorial(m - 1) * t.value(k + 1, m) for m in range(1, k + 2)
-    ]
-    return RationalPolynomial(coeffs)
+    terms, f = [], 1
+    for m, s in enumerate(shared_triangle(k + 1).row(k + 1)[1:], 1):
+        terms.append(f * s)
+        f *= m
+    return terms
+
+
+def derivative_polynomial_reference(k: int, alpha: Fraction | int) -> RationalPolynomial:
+    """Closed form (-1)^k alpha^k sum_{m=1..k+1} (m-1)! S(k+1,m) x^m.
+
+    With alpha = a/b, the numerators (-a)^k (m-1)! S(k+1,m) are integers
+    over the single denominator b^k, reduced once by the constructor.
+    """
+    terms = _factorial_stirling_terms(k)
+    a = Fraction(alpha)
+    scale = (-a.numerator) ** k
+    return RationalPolynomial([0, *(scale * t for t in terms)], a.denominator**k)
 
 
 def logistic_derivative_polynomial(k: int) -> RationalPolynomial:
@@ -92,15 +103,31 @@ def logistic_derivative_polynomial(k: int) -> RationalPolynomial:
 
 
 def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
-    """Closed form (-1)^(k+1) sum_{m=1..k+1} (-1)^m (m-1)! S(k+1,m) x^m."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    t = shared_triangle(k + 1)
-    sign = (-1) ** (k + 1)
-    coeffs = [Fraction(0)] + [
-        sign * (-1) ** m * factorial(m - 1) * t.value(k + 1, m) for m in range(1, k + 2)
-    ]
-    return RationalPolynomial(coeffs)
+    """Closed form (-1)^(k+1) sum_{m=1..k+1} (-1)^m (m-1)! S(k+1,m) x^m, in integers."""
+    terms = _factorial_stirling_terms(k)
+    return RationalPolynomial([0, *((-1) ** (k + 1 + m) * t for m, t in enumerate(terms, 1))])
+
+
+# G_1..G_k as found so far, and the iterate they were last read off,
+# LOGISTIC_RULE.iterate(k - 1).  Iterate k is the rule applied once to
+# iterate k-1, so reaching G_n costs one step per index not yet reached.
+# Only the last iterate is kept: iterate k holds k+2 integers of about
+# k log2 k bits each.  Both are guarded by _genocchi_lock and change
+# together, so a step that raises leaves them as they were.
+_genocchi_values: list[Fraction] = []
+_genocchi_last = X
+_genocchi_lock = threading.Lock()
+
+
+def _reset_genocchi() -> None:
+    """Forget every value past G_1 = 2 p_0(1/2) = 1, and go back to p_0 = x."""
+    global _genocchi_values, _genocchi_last
+    with _genocchi_lock:
+        _genocchi_values = [Fraction(1)]
+        _genocchi_last = X
+
+
+_reset_genocchi()
 
 
 def genocchi_from_derivatives(k: int) -> Fraction:
@@ -108,12 +135,20 @@ def genocchi_from_derivatives(k: int) -> Fraction:
 
     The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1), and
     p(1/2) is evaluated in integers and reduced once by
-    RationalPolynomial.__call__.  G_k is an integer, so a denominator other
-    than 1 signals a bug and raises.
+    RationalPolynomial.__call__.  The iterates are grown in one pass and
+    memoised with their values (see _genocchi_values).  G_j is an integer, so
+    a denominator other than 1 signals a bug and raises, naming G_j.
     """
+    global _genocchi_last
     if k < 1:
         raise ValueError("k must be positive")
-    value = 2 * k * logistic_derivative_polynomial(k - 1)(Fraction(1, 2))
-    if value.denominator != 1:
-        raise ArithmeticError(f"G_{k} via derivative polynomials came out non-integer: {value}")
-    return value
+    with _genocchi_lock:
+        while len(_genocchi_values) < k:
+            j = len(_genocchi_values) + 1
+            p = LOGISTIC_RULE.iterate(1, _genocchi_last)
+            value = 2 * j * p(Fraction(1, 2))
+            if value.denominator != 1:
+                raise ArithmeticError(f"G_{j} via derivative polynomials came out non-integer: {value}")
+            _genocchi_last = p
+            _genocchi_values.append(value)
+        return _genocchi_values[k - 1]

@@ -198,6 +198,29 @@ def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt
     ]
 
 
+NEWLINE_MESSAGE = "first line\nn=2 consensus=0 agreeing= dissenting="
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
+    messages = [NEWLINE_MESSAGE.replace("\n", "\r\n"), NEWLINE_MESSAGE]  # at n = 0 and n = 1
+
+    def failing(n):
+        raise ValueError(messages[n])
+
+    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--format", fmt)
+    assert code == 2
+    lines = out.splitlines()  # splits at CR as well as LF
+    if fmt == "csv":
+        assert len(lines) == 3  # the header, then one line per record
+        dissents = [_separator_dissents(line.split(",", 3)[3], ";") for line in lines[1:]]
+    else:
+        assert len(lines) == 5  # three summary lines, then one per record
+        dissents = [_separator_dissents(line.split(" dissenting=", 1)[1], ",") for line in lines[3:]]
+    assert dissents == [[("GOULD_DOUBLE_11", f"ERROR: ValueError: {m}")] for m in messages]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

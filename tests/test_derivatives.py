@@ -1,11 +1,12 @@
 """Derivative polynomials of reciprocal exponentials, checked two ways."""
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernocchi import derivatives
+from bernocchi import derivatives, reset_caches
 from bernocchi.derivatives import (
     LOGISTIC_RULE,
     DerivativeRule,
@@ -18,6 +19,7 @@ from bernocchi.derivatives import (
 )
 from bernocchi.formulas import genocchi_theorem
 from bernocchi.polynomial import RationalPolynomial, X
+from bernocchi.stirling import triangle_build
 
 ALPHAS = (1, 2, Fraction(1, 2))
 
@@ -116,14 +118,71 @@ def test_genocchi_from_derivatives_matches_theorem():
         assert genocchi_from_derivatives(k) == genocchi_theorem(k)
 
 
-def test_genocchi_from_derivatives_raises_on_a_remainder(monkeypatch):
-    good = derivatives.logistic_derivative_polynomial
+@pytest.fixture
+def cold_genocchi_memo():
+    """A cold derivative-route memo, reset again afterwards so that no test reads another's values."""
+    reset_caches()
+    yield
+    reset_caches()
 
-    def off_by_one(k):
-        p = good(k)
-        *low, lead = p.coefficients
+
+def test_genocchi_from_derivatives_raises_on_a_remainder(monkeypatch, cold_genocchi_memo):
+    assert genocchi_from_derivatives(6) == -3  # the memo now holds iterate 5
+    good = DerivativeRule.iterate
+
+    def off_by_one(rule, k, start=X):
+        *low, lead = good(rule, k, start).coefficients
         return RationalPolynomial([*low, lead + 1])  # adds 2k/2^d to G_k
 
-    monkeypatch.setattr(derivatives, "logistic_derivative_polynomial", off_by_one)
+    monkeypatch.setattr(DerivativeRule, "iterate", off_by_one)
     with pytest.raises(ArithmeticError, match="G_7 "):
         genocchi_from_derivatives(7)
+    monkeypatch.undo()
+    # The failed step left the memo as it was.
+    assert len(derivatives._genocchi_values) == 6
+    assert derivatives._genocchi_last == logistic_derivative_polynomial(5)
+    assert genocchi_from_derivatives(7) == genocchi_theorem(7)
+
+
+def test_genocchi_memo_grown_in_chunks_after_reset_equals_one_cold_call(cold_genocchi_memo):
+    genocchi_from_derivatives(120)
+    cold = [genocchi_from_derivatives(k) for k in range(1, 121)]
+    reset_caches()
+    assert (derivatives._genocchi_values, derivatives._genocchi_last) == ([1], X)
+    assert [genocchi_from_derivatives(k) for k in range(1, 41)] == cold[:40]
+    assert [genocchi_from_derivatives(k) for k in range(41, 121)] == cold[40:]
+    assert derivatives._genocchi_values == cold
+    assert derivatives._genocchi_last == logistic_derivative_polynomial(119)
+
+
+@pytest.mark.parametrize("order", [range(1, 61), range(60, 0, -1)], ids=["ascending", "descending"])
+def test_genocchi_memo_equals_one_shot_iterates(cold_genocchi_memo, order):
+    half = Fraction(1, 2)
+    for k in order:
+        assert genocchi_from_derivatives(k) == 2 * k * logistic_derivative_polynomial(k - 1)(half)
+
+
+def closed_form_reference(k, alpha):
+    """(-1)^k alpha^k sum_m (m-1)! S(k+1,m) x^m, one Fraction per term."""
+    s = triangle_build(k + 1)
+    a = Fraction(alpha)
+    return RationalPolynomial(
+        [0] + [(-1) ** k * a**k * factorial(m - 1) * s.value(k + 1, m) for m in range(1, k + 2)]
+    )
+
+
+def logistic_closed_form_reference(k):
+    """(-1)^(k+1) sum_m (-1)^m (m-1)! S(k+1,m) x^m, one Fraction per term."""
+    s = triangle_build(k + 1)
+    sign = (-1) ** (k + 1)
+    return RationalPolynomial(
+        [0] + [Fraction(sign * (-1) ** m * factorial(m - 1) * s.value(k + 1, m)) for m in range(1, k + 2)]
+    )
+
+
+def test_integer_closed_forms_equal_the_fraction_transcriptions():
+    for k in range(31):
+        for alpha in (1, 2, Fraction(1, 2), Fraction(-3, 7)):  # -3/7 checks the sign of (-a)^k
+            assert derivative_polynomial_reference(k, alpha) == closed_form_reference(k, alpha)
+        assert logistic_derivative_polynomial_reference(k) == logistic_closed_form_reference(k)
+

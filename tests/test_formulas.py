@@ -4,7 +4,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from bernocchi import formulas, reset_caches, stirling
+from bernocchi import derivatives, formulas, reset_caches, stirling
 from bernocchi.formulas import (
     B0,
     B1,
@@ -28,7 +28,7 @@ from bernocchi.formulas import (
     is_applicable,
     tangent_numbers,
 )
-from bernocchi.polynomial import interpolate
+from bernocchi.polynomial import X, interpolate
 from bernocchi.stirling import (
     StirlingTriangle,
     shared_triangle,
@@ -156,11 +156,14 @@ def test_reset_caches_empties_every_memo():
     bernoulli_series_oracle(40)
     shared_triangle(30)
     stirling_via_series(12, 5)
+    derivatives.genocchi_from_derivatives(20)
     assert len(stirling._expm1_rows) > 1
+    assert len(derivatives._genocchi_values) == 20
     reset_caches()
     assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
+    assert (derivatives._genocchi_values, derivatives._genocchi_last) == ([1], X)
 
 
 def test_higgins_examples():
