@@ -86,6 +86,12 @@ def _print_json(value) -> None:
     print(json.dumps(value, indent=2))
 
 
+def _print_csv(fields, rows) -> None:
+    print(",".join(fields))
+    for row in rows:
+        print(",".join(map(str, row)))
+
+
 def _parse_formula(name: str) -> FormulaId:
     try:
         return FormulaId(name.upper())
@@ -97,21 +103,22 @@ def _parse_formula(name: str) -> FormulaId:
 def cmd_compute(args) -> int:
     fid = _parse_formula(args.formula)
     value = format_rational(formula_value(fid, args.n))
+    fields, row = ("formula", "n", "value"), (fid.value, args.n, value)
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
-        print("formula,n,value")
-        print(f"{fid.value},{args.n},{value}")
+        _print_csv(fields, [row])
     else:
-        _print_json({"formula": fid.value, "n": args.n, "value": value})
+        _print_json(dict(zip(fields, row)))
     return 0
 
 
 def _dissents(record, sep: str) -> str:
-    """The record's dissents joined by sep, with %, sep, CR and LF percent-encoded in each value."""
+    """The record's dissents as FORMULA=value joined by sep.  Each value has % , ; " CR LF
+    written %25 %2C %3B %22 %0D %0A: no field is quoted, urllib.parse.unquote decodes it."""
 
     def encode(value: str) -> str:
-        for c in ("%", sep, "\r", "\n"):  # % first, so no escape is encoded twice
+        for c in '%,;"\r\n':  # % first, so no escape is encoded twice
             value = value.replace(c, f"%{ord(c):02X}")
         return value
 
@@ -125,13 +132,12 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(report_to_json(report))
     elif args.format == "csv":
-        print("n,consensus,agreeing,dissenting")
-        for record in report.records:
-            agreeing = ";".join(fid.value for fid in record.agreeing)
-            dissenting = _dissents(record, ";")
-            if any(c in dissenting for c in ',"'):  # error text: quote it as RFC 4180 does
-                dissenting = '"' + dissenting.replace('"', '""') + '"'
-            print(f"{record.n},{format_rational(record.consensus)},{agreeing},{dissenting}")
+        rows = (
+            (r.n, format_rational(r.consensus), ";".join(f.value for f in r.agreeing),
+             _dissents(r, ";"))
+            for r in report.records
+        )
+        _print_csv(("n", "consensus", "agreeing", "dissenting"), rows)
     else:
         print(f"max_n: {report.max_n}")
         print(f"verdict: {report.verdict.value}")
@@ -158,10 +164,8 @@ def cmd_table(args) -> int:
         if args.format == "json":
             _print_json({"kind": kind, "rows": [list(row) for row in rows]})
         elif args.format == "csv":
-            print("n,k,value")
-            for n, row in enumerate(rows):
-                for k, value in enumerate(row):
-                    print(f"{n},{k},{value}")
+            cells = ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
+            _print_csv(("n", "k", "value"), cells)
         else:
             for row in rows:
                 print(",".join(str(v) for v in row))
@@ -178,16 +182,14 @@ def cmd_table(args) -> int:
         ]
     else:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
+    fields, rows = ("n", "value"), ((n, format_rational(v)) for n, v in entries)
     if args.format == "json":
-        rows = [{"n": n, "value": format_rational(v)} for n, v in entries]
-        _print_json({"kind": kind, "rows": rows})
+        _print_json({"kind": kind, "rows": [dict(zip(fields, row)) for row in rows]})
     elif args.format == "csv":
-        print("n,value")
-        for n, v in entries:
-            print(f"{n},{format_rational(v)}")
+        _print_csv(fields, rows)
     else:
-        for n, v in entries:
-            print(f"{n} {format_rational(v)}")
+        for n, v in rows:
+            print(f"{n} {v}")
     return 0
 
 
@@ -209,22 +211,12 @@ def cmd_bench(args) -> int:
     records = bench(trusted, _bench_indices(args.max_n), args.reps)
     if args.deterministic:
         records = [r._replace(median_ns=0) for r in records]
+    fields = BENCH_HEADER.split(",")
+    rows = [(r.formula.value, r.n, r.repetitions, r.median_ns, r.value) for r in records]
     if args.format == "json":
-        rows = [
-            {
-                "formula": r.formula.value,
-                "n": r.n,
-                "reps": r.repetitions,
-                "median_ns": r.median_ns,
-                "value": r.value,
-            }
-            for r in records
-        ]
-        _print_json(rows)
+        _print_json([dict(zip(fields, row)) for row in rows])
     else:  # the bench contract is CSV; plain and csv coincide
-        print(BENCH_HEADER)
-        for r in records:
-            print(f"{r.formula.value},{r.n},{r.repetitions},{r.median_ns},{r.value}")
+        _print_csv(fields, rows)
     return 0
 
 
@@ -252,6 +244,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; usage errors exit 1 via _Parser
         return 0 if exc.code in (0, None) else int(exc.code)
+    # Exact values may pass Python's int/str digit limit (3.10.7 on): lift it for the command.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -269,6 +265,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"bernocchi: i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -1,7 +1,5 @@
 """CLI surface: subcommands, formats, exit-status contract, cache behavior."""
-import csv
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -16,7 +14,7 @@ from bernocchi import formulas, reset_caches, stirling
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
 from bernocchi.exact import format_rational
-from bernocchi.formulas import FormulaId, bernoulli_series_oracle
+from bernocchi.formulas import FormulaId, bernoulli_series_oracle, formula_value
 from bernocchi.harness import Verdict, verify_range
 
 
@@ -128,48 +126,81 @@ def test_verify_json_bytes_are_pinned_at_the_benchmark_size(capsys):
     assert digest == "0d43f037adff7f15844770d68c22a08ac1e5b4e30b63d81c5bbfb16f68b2bd6a"
 
 
-def test_table_json_bytes_are_pinned(capsys):
-    code, out, _ = run(capsys, "table", "bernoulli", "300", "--format", "json")
+BENCH_64 = ("bench", "--max-n", "64", "--reps", "1", "--deterministic")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ("compute", "GENOCCHI_THEOREM_16", "18", "--format", "csv"),
+            "347b011f1f020808f267c2cfd05483b72e5e6417e96f03c2597b4e08c0b8a533",
+            id="compute-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "300", "--format", "plain"),
+            "d32ff4b77848dbcbddca1f3fae929f17854df1a924d238417e64f0cac3eeb6ba",
+            id="bernoulli-plain",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "300", "--format", "csv"),
+            "acfe300dc2f0da30e0390417d5b002c7a5e3933e4ccb8ef104ab30f8952c8ab3",
+            id="bernoulli-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "300", "--format", "json"),
+            "9774743be824a0d965f52ab905c3f491a85babfbb9378631aba28f1b8eb02428",
+            id="bernoulli-json",
+        ),
+        pytest.param(
+            ("table", "genocchi", "120", "--format", "plain"),
+            "7ce6067f54eed23a0f22dda8b9b5eec6d3a1fb734001d57a1009f745c93b2f1e",
+            id="genocchi-plain",
+        ),
+        pytest.param(
+            ("table", "genocchi", "120", "--format", "csv"),
+            "f55557c390c3d7dbf6b82b7b03fd2b216cb2b2c367298749eb270409199bef9f",
+            id="genocchi-csv",
+        ),
+        pytest.param(
+            ("table", "stirling", "40", "--format", "plain"),
+            "c66d8429d0a1eb7a893b17f9f9900dd7d62f0878537cbcd7b0a7bfa81d44ef4f",
+            id="stirling-plain",
+        ),
+        pytest.param(
+            ("table", "stirling", "40", "--format", "csv"),
+            "145e1357cd0ad3022f39dbab1ec98977fc75a95c90098bbf8a7542d0a3165b1c",
+            id="stirling-csv",
+        ),
+        pytest.param(
+            ("table", "stirling", "40", "--format", "json"),
+            "1a786ae7e1dc8657f48d1d5538da3384a32f733c72fffd3f78b0b6541b8c2be0",
+            id="stirling-json",
+        ),
+        pytest.param(
+            (*BENCH_64, "--format", "plain"),
+            "90e56e3755041229829f30295b5dd049a727abf47088c50e7a3b2fbfcedcd477",
+            id="bench-plain",
+        ),
+        pytest.param(
+            (*BENCH_64, "--format", "csv"),
+            "90e56e3755041229829f30295b5dd049a727abf47088c50e7a3b2fbfcedcd477",
+            id="bench-csv",
+        ),
+        pytest.param(
+            (*BENCH_64, "--format", "json"),
+            "480b276f986529df11113e2239da63a51858fdef2c237bcb4affdab48f2db7c7",
+            id="bench-json",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "9774743be824a0d965f52ab905c3f491a85babfbb9378631aba28f1b8eb02428"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_stirling_table_json_bytes_are_pinned(capsys):
-    code, out, _ = run(capsys, "table", "stirling", "40", "--format", "json")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "1a786ae7e1dc8657f48d1d5538da3384a32f733c72fffd3f78b0b6541b8c2be0"
-
-
-def test_bench_json_bytes_are_pinned(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--max-n", "64", "--reps", "1", "--deterministic", "--format", "json"
-    )
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "480b276f986529df11113e2239da63a51858fdef2c237bcb4affdab48f2db7c7"
-
-
-def test_verify_csv_quotes_an_error_text_with_a_comma(capsys, monkeypatch):
-    def failing(n):
-        raise ValueError('triangle holds rows up to 3, row 4 requested "here"')
-
-    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
-    code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "csv")
-    assert code == 2
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["n", "consensus", "agreeing", "dissenting"]
-    assert [len(row) for row in rows] == [4] * 6
-    assert rows[1][3] == (
-        'GOULD_DOUBLE_11=ERROR: ValueError: triangle holds rows up to 3, row 4 requested "here"'
-    )
-    assert rows[3][3].startswith("GOULD_DOUBLE_11=ERROR: ") and rows[3][3].endswith(
-        ";TANGENT_DOUBLE_14_AS_PRINTED=1/3"
-    )
-
-
-SEPARATOR_MESSAGE = 'rows up to 3; row 4 requested, see "log" at 100%3B'
+SEPARATOR_MESSAGE = 'rows up to 3; row 4 requested,\r\nsee "log" at 100%3B'
 
 
 def _separator_dissents(field, sep):
@@ -179,20 +210,25 @@ def _separator_dissents(field, sep):
 
 @pytest.mark.parametrize("fmt", ["csv", "plain"])
 def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt):
+    # The message holds all six encoded characters: % , ; " CR LF.
     def failing(n):
         raise ValueError(SEPARATOR_MESSAGE)
 
     monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", fmt)
     assert code == 2
+    lines = out.splitlines()
+    assert not any('"' in line for line in lines)
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(out)))
-        assert [len(row) for row in rows] == [4] * 6
-        dissents = _separator_dissents(rows[3][3], ";")
+        assert lines[0] == "n,consensus,agreeing,dissenting"
+        assert [len(line.split(",")) for line in lines] == [4] * 6
+        sep, field = ";", lines[3].split(",")[3]
     else:
-        line = next(line for line in out.splitlines() if line.startswith("n=2 "))
-        dissents = _separator_dissents(line.split(" dissenting=", 1)[1], ",")
-    assert dissents == [
+        assert len(lines) == 3 + 5
+        line = next(line for line in lines if line.startswith("n=2 "))
+        sep, field = ",", line.split(" dissenting=", 1)[1]
+    assert field.endswith(f"{sep}TANGENT_DOUBLE_14_AS_PRINTED=1/3")
+    assert _separator_dissents(field, sep) == [
         ("GOULD_DOUBLE_11", f"ERROR: ValueError: {SEPARATOR_MESSAGE}"),
         ("TANGENT_DOUBLE_14_AS_PRINTED", "1/3"),
     ]
@@ -230,6 +266,22 @@ def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
 )
 def test_negative_sizes_exit_one_with_the_message(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"bernocchi: error: {message}\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no int/str digit limit"
+)
+def test_cli_prints_a_value_past_the_int_str_digit_limit(capsys):
+    # B_600's numerator has 946 digits, above the smallest limit Python allows.
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = format_rational(formula_value(FormulaId.BRENT_HARVEY_TANGENT, 600)) + "\n"
+        sys.set_int_max_str_digits(640)
+        assert run(capsys, "compute", "BRENT_HARVEY_TANGENT", "600") == (0, want, "")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_verify_csv_layout(capsys):
