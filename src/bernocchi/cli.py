@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"bernocchi: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

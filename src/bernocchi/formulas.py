@@ -128,19 +128,28 @@ def bernoulli_series_oracle(n: int) -> Fraction:
 def bernoulli_higgins(n: int) -> Fraction:
     """B_n = sum_{k=0..n} 1/(k+1) * sum_{j=0..k} (-1)^j C(k,j) j^n, with 0^0 = 1.
 
-    The inner sum is (-1)^k times the k-th forward difference of j^n at 0,
-    read off one difference table of 0^n, 1^n, ..., n^n that is replaced by
-    its own differences once per k.  Summed in integers over the common
-    denominator lcm(1..n+1), reduced once.
+    The same terms, grouped by j: B_n = sum_{j=0..n} (-1)^j j^n c_j with
+    c_j = sum_{k=j..n} C(k,j)/(k+1).  Dividing (j+1) C(k,j+1) = (k-j) C(k,j)
+    by k+1 and summing over k = j..n, with the hockey stick
+    sum_{k=j..n} C(k,j) = C(n+1,j+1), gives
+
+        c_0 = H_(n+1),  (j+1) c_(j+1) = C(n+1,j+1) - (j+1) c_j.
+
+    Over L = lcm(1..n+1) every e_j = L c_j is an integer:
+    e_0 = sum_k L/(k+1) and e_(j+1) = C(n+1,j+1) (L/(j+1)) - e_j, with
+    C(n+1,j+1) a running product.  Each index costs n+1 powers and O(n)
+    products; the sum is reduced once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    diffs = [j**n for j in range(n + 1)]
     common = lcm(*range(1, n + 2))
+    scaled = sum(common // (k + 1) for k in range(n + 1))  # e_j = L c_j
+    outer = 1  # C(n+1, j)
     total = 0
-    for k in range(n + 1):
-        total += (-1) ** k * diffs[0] * (common // (k + 1))
-        diffs = list(map(sub, diffs[1:], diffs))
+    for j in range(n + 1):
+        total += (-1) ** j * j**n * scaled
+        outer = outer * (n + 1 - j) // (j + 1)
+        scaled = outer * (common // (j + 1)) - scaled
     return Fraction(total, common)
 
 
@@ -204,24 +213,21 @@ def bernoulli_stirling_ratio(n: int) -> Fraction:
     """B_n = sum_{i=0..n} (-1)^i C(n+1,i+1)/C(n+i,i) * S(n+i,i); needs rows up to 2n.
 
     Since 1/C(n+i,i) = i! n!/(n+i)!, the sum is taken in integers over the
-    common denominator (2n)!/n!: term i is weighted by
-    (-1)^i C(n+1,i+1) i! (2n)!/(n+i)!, each factor carried from one term to
-    the next, and the result is reduced once.
+    common denominator (2n)!/n!: term i is weighted by the integer
+    (-1)^i C(n+1,i+1) i! (2n)!/(n+i)!, which starts at (n+1) (2n)!/n! and is
+    carried to the next term by the factor -(n-i)(i+1) / ((i+2)(n+i+1)).
+    Every weight is an integer, so that division is exact.  The result is
+    reduced once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows = shared_triangle(2 * n).rows
     common = factorial(2 * n) // factorial(n)
-    weight = common  # (2n)!/(n+i)!
-    outer = n + 1  # C(n+1, i+1)
-    signed_factorial = 1  # (-1)^i i!
+    rows = shared_triangle(2 * n).rows
+    coefficient = (n + 1) * common
     total = 0
     for i in range(n + 1):
-        if i:
-            weight //= n + i
-        total += outer * signed_factorial * weight * rows[n + i][i]
-        outer = outer * (n - i) // (i + 2)
-        signed_factorial *= -(i + 1)
+        total += coefficient * rows[n + i][i]
+        coefficient = coefficient * -(n - i) * (i + 1) // ((i + 2) * (n + i + 1))
     return Fraction(total, common)
 
 

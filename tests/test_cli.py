@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import urllib.parse
 from pathlib import Path
 
@@ -266,6 +267,25 @@ def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
 )
 def test_negative_sizes_exit_one_with_the_message(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"bernocchi: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "formula, n, message",
+    [
+        pytest.param("HIGGINS_9", 10**20, "too large to convert", id="HIGGINS_9"),
+        pytest.param("GOULD_DOUBLE_11", 10**19, "factorial() argument", id="GOULD_DOUBLE_11"),
+        pytest.param("STIRLING_RATIO_12", 10**19, "factorial() argument", id="STIRLING_RATIO_12"),
+    ],
+)
+def test_compute_overflow_exits_one_at_once(capsys, formula, n, message):
+    reset_caches()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", formula, str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("bernocchi: error: ") and err.count("\n") == 1
+    assert message in err
+    assert len(stirling._shared_rows) == 1  # failed before any triangle row was built
 
 
 @pytest.mark.skipif(

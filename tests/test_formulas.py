@@ -170,8 +170,25 @@ def test_higgins_examples():
     assert bernoulli_higgins(0) == 1
     assert bernoulli_higgins(2) == Fraction(1, 6)
     assert bernoulli_higgins(3) == 0
-    for n in range(121):
-        assert bernoulli_higgins(n) == bernoulli_series_oracle(n)
+    for n in range(301):
+        assert bernoulli_higgins(n) == bernoulli_series_oracle(n), n
+
+
+def higgins_reference(n):
+    """sum_k 1/(k+1) sum_j (-1)^j C(k,j) j^n as printed, one Fraction per term."""
+    return sum(
+        (
+            Fraction((-1) ** j * comb(k, j) * j**n, k + 1)
+            for k in range(n + 1)
+            for j in range(k + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def test_higgins_equals_the_printed_double_sum():
+    for n in range(41):
+        assert bernoulli_higgins(n) == higgins_reference(n), n
 
 
 def test_stirling_single_examples():
