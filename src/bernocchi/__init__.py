@@ -22,9 +22,10 @@ def reset_caches() -> None:
 
     The series oracle's integer state goes back to B_0 and B_1; the rows of
     e^x - 1 powers kept by the Stirling series route and the shared
-    Stirling rows go back to row 0; the derivative route's memo of Genocchi
-    values and its last logistic iterate go back to G_1 and p_0 = x.  No
-    value changes, only the time taken to reach it.
+    Stirling rows go back to row 0; the difference table of powers kept by
+    the explicit Stirling sum goes back to column 0 of t^0; the derivative
+    route's memo of Genocchi values and its last logistic iterate go back
+    to G_1 and p_0 = x.  No value changes, only the time taken to reach it.
     """
     _formulas._reset_oracle()
     _stirling._reset_memos()

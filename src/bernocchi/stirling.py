@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import accumulate
 from math import comb, factorial
+from operator import sub
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -109,16 +111,55 @@ def shared_triangle(max_n: int) -> StirlingTriangle:
         return StirlingTriangle(max_n, tuple(_shared_rows[: max_n + 1]))
 
 
+# The forward-difference table of t^k for the last exponent k asked for,
+# as (k, tops, diagonal): tops[j] = Δ^j t^k at 0 and diagonal[j] = Δ^j t^k
+# at M - j for j = 0..M, where M is the last column built.  Guarded by
+# _power_lock and replaced whole after each column, so a step that raises
+# leaves the table as it was.
+_power_table: tuple[int, list[int], list[int]] = (0, [1], [1])
+_power_lock = threading.Lock()
+
+
+def _power_difference(k: int, m: int) -> int:
+    """Δ^m t^k at t = 0, with the difference table of t^k grown to column m.
+
+    Column M+1 starts its diagonal at (M+1)^k, and entry j+1 of the new
+    diagonal is entry j of the new one minus entry j of the old one, so it
+    costs one power and M+1 subtractions; its last entry is Δ^(M+1) t^k at 0.
+    Another exponent than the kept one starts a new table at 0^k.
+    """
+    global _power_table
+    with _power_lock:
+        exponent, tops, diagonal = _power_table
+        if exponent != k:
+            tops, diagonal = [0**k], [0**k]
+        for top in range(len(tops), m + 1):
+            diagonal = list(accumulate(diagonal, sub, initial=top**k))
+            tops.append(diagonal[-1])
+            _power_table = (k, tops, diagonal)
+        return tops[m]
+
+
 def stirling_explicit(k: int, m: int) -> int:
-    """S(k, m) by the alternating binomial sum (1/m!) * sum_{l=1..m} (-1)^(m-l) C(m,l) l^k."""
+    """S(k, m) by the alternating binomial sum (1/m!) * sum_{l=1..m} (-1)^(m-l) C(m,l) l^k.
+
+    The sum is the m-th forward difference of t^k at 0, so m! S(k,m) =
+    Δ^m t^k(0) (Concrete Mathematics, ch. 6).  It is read off a difference
+    table of 0^k, 1^k, 2^k, ... kept for the last k asked for, and divided
+    once by m!; a remainder signals a bug and raises.  Column j costs one
+    power and j subtractions, with no binomial and no product, so a row
+    S(k, 1..k), asked in any order, costs k powers and about k^2/2
+    subtractions.  A call for another k starts a new table and builds
+    columns 1..m: m powers and about m^2/2 subtractions, so a lone call at
+    large m costs more than the m terms of the sum would.
+    """
     if k < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     if m == 0:
         return 1 if k == 0 else 0
     if m > k:
         return 0
-    total = sum((-1) ** (m - l) * comb(m, l) * l**k for l in range(1, m + 1))
-    quotient, remainder = divmod(total, factorial(m))
+    quotient, remainder = divmod(_power_difference(k, m), factorial(m))
     if remainder:
         raise ArithmeticError(f"sum for S({k},{m}) not divisible by {m}!")
     return quotient
@@ -150,11 +191,15 @@ def _expm1_row(n: int) -> list[int]:
 
 
 def _reset_memos() -> None:
-    """Forget the shared triangle rows and the rows of e^x - 1 powers past row 0."""
+    """Forget the shared triangle rows and the rows of e^x - 1 powers past
+    row 0, and the difference table of powers past column 0 of t^0."""
+    global _power_table
     with _shared_lock:
         del _shared_rows[1:]
     with _expm1_lock:
         del _expm1_rows[1:]
+    with _power_lock:
+        _power_table = (0, [1], [1])
 
 
 def stirling_via_series(n: int, k: int, order: int | None = None) -> int:

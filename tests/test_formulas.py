@@ -32,6 +32,7 @@ from bernocchi.polynomial import X, interpolate
 from bernocchi.stirling import (
     StirlingTriangle,
     shared_triangle,
+    stirling_explicit,
     stirling_via_series,
     triangle_build,
 )
@@ -156,13 +157,16 @@ def test_reset_caches_empties_every_memo():
     bernoulli_series_oracle(40)
     shared_triangle(30)
     stirling_via_series(12, 5)
+    stirling_explicit(12, 5)
     derivatives.genocchi_from_derivatives(20)
     assert len(stirling._expm1_rows) > 1
+    assert stirling._power_table[0] == 12
     assert len(derivatives._genocchi_values) == 20
     reset_caches()
     assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
+    assert stirling._power_table == (0, [1], [1])
     assert (derivatives._genocchi_values, derivatives._genocchi_last) == ([1], X)
 
 

@@ -19,6 +19,7 @@ SHARED_INPUTS = {
     "tangent_numbers": formulas,
     "interpolate": polynomial,
     "_expm1_row": stirling,
+    "_power_difference": stirling,
 }
 
 GENOCCHI_DERIVATIVES = "genocchi_from_derivatives"

@@ -1,6 +1,7 @@
 """Stirling triangle: three computation routes, enumeration oracle, disk format."""
+import random
 import sys
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -95,6 +96,52 @@ def test_explicit_sum_values():
     assert stirling_explicit(0, 0) == 1
     assert stirling_explicit(4, 0) == 0
     assert stirling_explicit(2, 6) == 0
+
+
+def explicit_reference(k, m):
+    """(1/m!) sum_{l=1..m} (-1)^(m-l) C(m,l) l^k as printed, one comb per term."""
+    if m == 0:
+        return 1 if k == 0 else 0
+    total = sum((-1) ** (m - l) * comb(m, l) * l**k for l in range(1, m + 1))
+    quotient, remainder = divmod(total, factorial(m))
+    assert remainder == 0
+    return quotient
+
+
+EXPLICIT_LIMIT = 60
+ALL_PAIRS = [(n, k) for n in range(1, EXPLICIT_LIMIT + 1) for k in range(1, n + 1)]
+CALL_ORDERS = {
+    "row-major": ALL_PAIRS,
+    "descending": ALL_PAIRS[::-1],
+    "interleaved-exponents": [
+        pair
+        for n, k in ALL_PAIRS
+        if n < EXPLICIT_LIMIT
+        for pair in ((n, k), (n + 1, k))
+    ],
+    "shuffled": random.Random(24).sample(ALL_PAIRS, len(ALL_PAIRS)),
+}
+
+
+@pytest.mark.parametrize("order", CALL_ORDERS)
+def test_explicit_sum_equals_the_triangle_in_any_call_order(order):
+    # The kept difference table must serve every order of calls: columns
+    # grown one at a time, read back below its last column, and restarted
+    # for each new exponent.
+    reset_caches()
+    t = triangle_build(EXPLICIT_LIMIT)
+    for n, k in CALL_ORDERS[order]:
+        assert stirling_explicit(n, k) == t.value(n, k), (n, k)
+
+
+def test_explicit_sum_equals_the_binomial_sum_as_printed():
+    reset_caches()
+    for n in range(41):
+        for k in range(n + 1):
+            assert stirling_explicit(n, k) == explicit_reference(n, k), (n, k)
+    for n, k in ((200, 100), (300, 7)):
+        reset_caches()
+        assert stirling_explicit(n, k) == explicit_reference(n, k), (n, k)
 
 
 def test_series_route_values():
