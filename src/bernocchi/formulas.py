@@ -18,7 +18,7 @@ import threading
 from collections.abc import Callable
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, mul, sub
+from operator import add
 from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, interpolate
@@ -187,8 +187,9 @@ def bernoulli_gould_double(n: int) -> Fraction:
 
         E_0(x) = x^n,  E_{j+1}(x) = (x+j+1) E_j(x+1) - x E_j(x),  I_j = E_j(0).
 
-    Level j is kept for x = 0..n-j, one entry fewer than the level before,
-    and each entry costs two multiplications by small integers and one
+    One list holds level j for x = 0..n-j; level j+1 is written over it with
+    x ascending, so entry x+1 still holds E_j(x+1), then the last entry is
+    dropped.  Each entry costs two multiplications by small integers and one
     subtraction: no division, no binomial coefficient and no power after
     the first level.
     """
@@ -202,8 +203,9 @@ def bernoulli_gould_double(n: int) -> Fraction:
     for j in range(n + 1):
         if j:
             weight //= n + j
-            shifted = map(mul, values[1:], range(j, n + 1))  # (x+j) E_{j-1}(x+1)
-            values = list(map(sub, shifted, map(mul, values, range(n + 1 - j))))
+            for x in range(n + 1 - j):
+                values[x] = (x + j) * values[x + 1] - x * values[x]
+            values.pop()
         total += (-1) ** j * outer * weight * values[0]
         outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)

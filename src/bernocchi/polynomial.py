@@ -100,7 +100,9 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     (next - this) * (step_j // gap), an integer.  Horner's rule in the
     Newton basis, acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives
     the integer polynomial scale_N * e * p(t/d), so coefficient m of the
-    result is acc_m d^m / (scale_N e).  The abscissas must be pairwise
+    result is acc_m d^m / (scale_N e).  Each Horner step updates acc in
+    place from the constant term up, saving entry i before it is
+    overwritten for use at entry i+1.  The abscissas must be pairwise
     distinct.
 
     On equally spaced nodes every gap of level j equals X_j - X_0, which is
@@ -131,7 +133,12 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     acc: list[int] = []
     weight = 1  # scale_N / scale_j
     for node, top, step in zip(reversed(nodes), reversed(tops), reversed(steps)):
-        acc = list(map(sub, [0, *acc], [*map(node.__mul__, acc), 0]))
+        acc.append(0)
+        below = 0  # old entry i-1
+        for i in range(len(acc)):
+            old = acc[i]
+            acc[i] = below - node * old
+            below = old
         acc[0] += top * weight
         weight *= step
     return RationalPolynomial([c * d**m for m, c in enumerate(acc)], weight * e)

@@ -1,5 +1,6 @@
 """Dense rational polynomials: canonical form, evaluation, interpolation."""
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -194,3 +195,17 @@ def test_interpolate_matches_newton_reference():
     spaced = [Fraction(7, 3) - i * Fraction(5, 6) for i in range(20)]
     points = [(x, Fraction(3 * i * i - 5, 2 * i + 7)) for i, x in enumerate(spaced)]
     assert interpolate(points) == newton_interpolate(points)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("size", [1, 2, 40])
+def test_interpolate_on_consecutive_integers_matches_newton_reference(size, order):
+    # Faulhaber's case: the power sums of exponent size-1 at the nodes
+    # 0..size, then large values of alternating sign at the same nodes.
+    power_sums = accumulate((m ** (size - 1) for m in range(1, size + 1)), initial=0)
+    alternating = [(-1) ** x * (3 ** (5 * x + 60) + x) for x in range(size + 1)]
+    for values in (power_sums, alternating):
+        points = list(zip(range(size + 1), values))
+        if order == "descending":
+            points.reverse()
+        assert interpolate(points) == newton_interpolate(points)
