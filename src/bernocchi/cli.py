@@ -27,6 +27,10 @@ from .stirling import shared_triangle, triangle_build, triangle_save
 
 FORMATS = ("plain", "csv", "json")
 BENCH_HEADER = "formula,n,reps,median_ns,value"
+# Largest verify --max-n accepted.  verify_range grows about as n^3 in time
+# and memory (README, "CLI"): at 500 that is some 10-16 s and a Stirling
+# triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
+VERIFY_CEILING = 500
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,6 +132,8 @@ def _dissents(record, sep: str) -> str:
 def cmd_verify(args) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
+    if args.max_n > VERIFY_CEILING:
+        raise ValueError(f"--max-n must be at most {VERIFY_CEILING}")
     report = verify_range(args.max_n)
     if args.format == "json":
         print(report_to_json(report))

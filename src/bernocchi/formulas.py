@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
@@ -46,6 +46,7 @@ __all__ = [
     "is_applicable",
     "formula_value",
     "formula_bernoulli_value",
+    "bernoulli_sweep",
 ]
 
 # Named domain constants, used throughout the tests.
@@ -175,10 +176,6 @@ def bernoulli_gould_double(n: int) -> Fraction:
     sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! I_j,
     I_j = sum_{k=0..j} (-1)^(j-k) C(j,k) k^(n+j), with 0^0 = 1.
 
-    Summed in integers over the common denominator (2n)!/n!, so term j is
-    weighted by the integer (2n)!/(n+j)!, and reduced once.  C(n+1, j+1) is
-    a running product.
-
     I_j is the j-th forward difference of t^(n+j) at 0.  Write
     E_j(x) = Delta^j[t^(n+j)](x).  The Leibniz rule for differences,
     Delta(t g)(x) = x Delta g(x) + g(x+1), gives by induction on m
@@ -191,24 +188,66 @@ def bernoulli_gould_double(n: int) -> Fraction:
     x ascending, so entry x+1 still holds E_j(x+1), then the last entry is
     dropped.  Each entry costs two multiplications by small integers and one
     subtraction: no division, no binomial coefficient and no power after
-    the first level.
+    the first level.  The outer sum is :func:`_gould_sum`, which `verify`'s
+    sweep of this row shares.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _gould_sum(n, _gould_levels(n))
+
+
+def _gould_levels(n: int) -> Iterator[int]:
+    """I_j = E_j(0) for j = 0..n, one level of E_j computed per value."""
+    values = [x**n for x in range(n + 1)]  # E_j(x) for x = 0..n-j
+    yield values[0]
+    for j in range(1, n + 1):
+        for x in range(n + 1 - j):
+            values[x] = (x + j) * values[x + 1] - x * values[x]
+        values.pop()
+        yield values[0]
+
+
+def _gould_sum(n: int, inner: Iterable[int]) -> Fraction:
+    """sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! I_j, with I_j read from inner.
+
+    Summed in integers over the common denominator (2n)!/n!, so term j is
+    weighted by the integer (2n)!/(n+j)!, and reduced once.  C(n+1, j+1) is
+    a running product.  The denominator is formed before inner is read, so
+    an index past `math.factorial`'s range fails before any level is built.
+    """
     common = factorial(2 * n) // factorial(n)
     weight = common  # (2n)!/(n+j)!
     outer = n + 1  # C(n+1, j+1)
-    values = [x**n for x in range(n + 1)]  # E_j(x) for x = 0..n-j
     total = 0
-    for j in range(n + 1):
+    for j, value in zip(range(n + 1), inner):
         if j:
             weight //= n + j
-            for x in range(n + 1 - j):
-                values[x] = (x + j) * values[x + 1] - x * values[x]
-            values.pop()
-        total += (-1) ** j * outer * weight * values[0]
+        total += (-1) ** j * outer * weight * value
         outer = outer * (n - j) // (j + 2)
     return Fraction(total, common)
+
+
+def _gould_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
+    """(n, B_n) by GOULD's double sum for n = 0..max_n, in one pass.
+
+    Write I_j(n) = Delta^j[t^(n+j)](0).  The rule of
+    :func:`bernoulli_gould_double` at x = 0, with m = j and g = t^(n+j-1),
+    gives I_j(n) = j Delta^(j-1) g(1) = j (Delta^(j-1) g(0) + Delta^j g(0)),
+    that is I_j(n) = j (I_(j-1)(n) + I_j(n-1)), with I_j(0) = j!.  One list
+    holds I_j(n) for j = 0..max_n; each n rewrites it with j ascending, one
+    addition and one product by the small integer j per entry.  These are
+    the integers j! S(n+j, j), but they are built from factorials alone:
+    the sweep reads neither the Stirling triangle nor the oracle.
+    """
+    levels = [1]  # I_j(0) = j!
+    for j in range(1, max_n + 1):
+        levels.append(j * levels[-1])
+    for n in range(max_n + 1):
+        if n:
+            levels[0] = 0  # I_0(n) = 0^n
+            for j in range(1, max_n + 1):
+                levels[j] = j * (levels[j] + levels[j - 1])
+        yield n, _gould_sum(n, levels)
 
 
 def bernoulli_stirling_ratio(n: int) -> Fraction:
@@ -367,6 +406,13 @@ def tangent_numbers(k: int) -> list[int]:
     return tangents
 
 
+def _tangent_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
+    """(n, B_n) for the even n = 2..max_n, from one `tangent_numbers(max_n // 2)` call."""
+    tangents = tangent_numbers(max_n // 2)
+    for k in range(1, max_n // 2 + 1):
+        yield 2 * k, bernoulli_from_tangent(k, tangents[k])
+
+
 def bernoulli_from_tangent(k: int, tangent: int) -> Fraction:
     """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for k >= 1, T_k the k-th tangent number."""
     if k < 1:
@@ -399,13 +445,16 @@ def euler_at_zero(n: int) -> Fraction:
 class _Formula(NamedTuple):
     """One registry row.  `evaluate(n)` maps the index n to the function's
     own argument; a `genocchi` value is G_n and moves to the Bernoulli scale
-    for comparison."""
+    for comparison.  `sweep(max_n)`, where present, yields (n, B_n) for the
+    row's applicable n <= max_n in one pass, with its state local to the
+    generator; `verify` reads the row through it."""
 
     evaluate: Callable[[int], Fraction]
     lowest: int = 0
     even_only: bool = False
     trusted: bool = True
     genocchi: bool = False
+    sweep: Callable[[int], Iterator[tuple[int, Fraction]]] | None = None
 
 
 # Each entry calls its function by module-global name, so a wrapper put on
@@ -414,7 +463,9 @@ _REGISTRY: dict[FormulaId, _Formula] = {
     FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n)),
     FormulaId.HIGGINS_9: _Formula(lambda n: bernoulli_higgins(n)),
     FormulaId.STIRLING_SINGLE_10: _Formula(lambda n: bernoulli_stirling_single(n)),
-    FormulaId.GOULD_DOUBLE_11: _Formula(lambda n: bernoulli_gould_double(n)),
+    FormulaId.GOULD_DOUBLE_11: _Formula(
+        lambda n: bernoulli_gould_double(n), sweep=lambda max_n: _gould_sweep(max_n)
+    ),
     FormulaId.STIRLING_RATIO_12: _Formula(lambda n: bernoulli_stirling_ratio(n)),
     FormulaId.FAULHABER_RECURSION_13: _Formula(
         lambda n: bernoulli_faulhaber_recursion(n // 2), lowest=2, even_only=True
@@ -433,6 +484,7 @@ _REGISTRY: dict[FormulaId, _Formula] = {
         lambda n: bernoulli_from_tangent(n // 2, tangent_numbers(n // 2)[-1]),
         lowest=2,
         even_only=True,
+        sweep=lambda max_n: _tangent_sweep(max_n),
     ),
 }
 
@@ -463,3 +515,15 @@ def formula_bernoulli_value(formula: FormulaId, n: int) -> Fraction:
     """
     value = formula_value(formula, n)
     return bernoulli_from_genocchi(n, value) if _REGISTRY[formula].genocchi else value
+
+
+def bernoulli_sweep(formula: FormulaId, max_n: int) -> Iterator[tuple[int, Fraction]] | None:
+    """The row's (n, B_n) pairs for its applicable n <= max_n, in one pass,
+    or None when the row has no sweep.
+
+    Each pair equals (n, formula_bernoulli_value(formula, n)).  The
+    generator keeps its state to itself; nothing is computed until it is
+    first advanced.
+    """
+    sweep = _REGISTRY[formula].sweep
+    return None if sweep is None else sweep(max_n)

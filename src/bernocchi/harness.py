@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import format_rational
-from .formulas import FormulaId, formula_bernoulli_value, is_applicable
+from .formulas import FormulaId, bernoulli_sweep, formula_bernoulli_value, is_applicable
 
 __all__ = [
     "FormulaEvaluation",
@@ -76,22 +76,42 @@ class BenchRecord(NamedTuple):
     value: str
 
 
+def _evaluate(fid: FormulaId, n: int) -> FormulaEvaluation:
+    start = time.perf_counter_ns()
+    try:
+        value = formula_bernoulli_value(fid, n)
+        error = None
+    except Exception as exc:  # captured per record, never aborts the sweep
+        value = None
+        error = f"{type(exc).__name__}: {exc}"
+    return FormulaEvaluation(fid, n, value, time.perf_counter_ns() - start, error)
+
+
 def evaluate_all(n: int) -> list[FormulaEvaluation]:
     """Evaluate every applicable formula at index n, on the Bernoulli scale."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    applicable = [fid for fid in FormulaId if is_applicable(fid, n)]
+    return [_evaluate(fid, n) for fid in FormulaId if is_applicable(fid, n)]
+
+
+def _evaluate_swept(n: int, sweeps: dict) -> list[FormulaEvaluation]:
+    """evaluate_all(n), with the value of each row in sweeps read from its
+    sweep.  A sweep that raises is dropped from sweeps, so that index and
+    every later one are evaluated per index, each error on its own record."""
     evaluations = []
-    for fid in applicable:
-        start = time.perf_counter_ns()
-        try:
-            value = formula_bernoulli_value(fid, n)
-            error = None
-        except Exception as exc:  # captured per record, never aborts the sweep
-            value = None
-            error = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter_ns() - start
-        evaluations.append(FormulaEvaluation(fid, n, value, elapsed, error))
+    for fid in FormulaId:
+        if not is_applicable(fid, n):
+            continue
+        if fid in sweeps:
+            start = time.perf_counter_ns()
+            try:
+                _, value = next(sweeps[fid])
+            except Exception:  # the per-index call below records the error
+                del sweeps[fid]
+            else:
+                evaluations.append(FormulaEvaluation(fid, n, value, time.perf_counter_ns() - start))
+                continue
+        evaluations.append(_evaluate(fid, n))
     return evaluations
 
 
@@ -115,11 +135,14 @@ def _record_for(n: int, evaluations: Sequence[FormulaEvaluation]) -> IndexRecord
 def verify_range(max_n: int) -> VerificationReport:
     """Differential report over indices 0..max_n.
 
-    The report content is deterministic and carries no timing fields.
+    A row with a sweep is read through it, in one pass over the range; the
+    other rows are evaluated per index, as in evaluate_all.  The report
+    content is deterministic and carries no timing fields.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    records = tuple(_record_for(n, evaluate_all(n)) for n in range(max_n + 1))
+    sweeps = {fid: sweep for fid in FormulaId if (sweep := bernoulli_sweep(fid, max_n)) is not None}
+    records = tuple(_record_for(n, _evaluate_swept(n, sweeps)) for n in range(max_n + 1))
     agreements = sum(len(r.agreeing) for r in records)
     dissents = sum(len(r.dissenting) for r in records)
     trusted_dissent = any(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bernocchi
-from bernocchi import formulas, reset_caches, stirling
+from bernocchi import cli, formulas, reset_caches, stirling
 from bernocchi.cache import cache_file
 from bernocchi.cli import main
 from bernocchi.exact import format_rational
@@ -215,7 +215,7 @@ def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt
     def failing(n):
         raise ValueError(SEPARATOR_MESSAGE)
 
-    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
+    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", failing)
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", fmt)
     assert code == 2
     lines = out.splitlines()
@@ -230,7 +230,7 @@ def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt
         sep, field = ",", line.split(" dissenting=", 1)[1]
     assert field.endswith(f"{sep}TANGENT_DOUBLE_14_AS_PRINTED=1/3")
     assert _separator_dissents(field, sep) == [
-        ("GOULD_DOUBLE_11", f"ERROR: ValueError: {SEPARATOR_MESSAGE}"),
+        ("STIRLING_RATIO_12", f"ERROR: ValueError: {SEPARATOR_MESSAGE}"),
         ("TANGENT_DOUBLE_14_AS_PRINTED", "1/3"),
     ]
 
@@ -245,7 +245,7 @@ def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
     def failing(n):
         raise ValueError(messages[n])
 
-    monkeypatch.setattr(formulas, "bernoulli_gould_double", failing)
+    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", failing)
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--format", fmt)
     assert code == 2
     lines = out.splitlines()  # splits at CR as well as LF
@@ -255,7 +255,7 @@ def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
     else:
         assert len(lines) == 5  # three summary lines, then one per record
         dissents = [_separator_dissents(line.split(" dissenting=", 1)[1], ",") for line in lines[3:]]
-    assert dissents == [[("GOULD_DOUBLE_11", f"ERROR: ValueError: {m}")] for m in messages]
+    assert dissents == [[("STIRLING_RATIO_12", f"ERROR: ValueError: {m}")] for m in messages]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +267,26 @@ def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
 )
 def test_negative_sizes_exit_one_with_the_message(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"bernocchi: error: {message}\n")
+
+
+def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkeypatch):
+    # CI verifies at 200, the benchmark at 100 and the tests at 120 at most.
+    assert cli.VERIFY_CEILING >= 200
+    calls = []
+
+    def recording(max_n):
+        calls.append(max_n)
+        return verify_range(0)
+
+    monkeypatch.setattr(cli, "verify_range", recording)
+    assert run(capsys, "verify", "--max-n", str(cli.VERIFY_CEILING))[0] == 0
+    assert calls == [cli.VERIFY_CEILING]
+    for fmt in cli.FORMATS:
+        start = time.perf_counter()
+        result = run(capsys, "verify", "--max-n", str(cli.VERIFY_CEILING + 1), "--format", fmt)
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", f"bernocchi: error: --max-n must be at most {cli.VERIFY_CEILING}\n")
+    assert calls == [cli.VERIFY_CEILING]  # no refused request reached verify_range
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from bernocchi.formulas import (
     bernoulli_series_oracle,
     bernoulli_stirling_ratio,
     bernoulli_stirling_single,
+    bernoulli_sweep,
     bernoulli_tangent_double_as_printed,
     euler_at_zero,
     faulhaber_coefficients,
@@ -512,10 +513,28 @@ def test_formula_registry_flags():
         assert (fid.trusted, fid.even_only) == (trusted, even_only), fid
 
 
+SWEPT = [fid for fid in FormulaId if bernoulli_sweep(fid, 0) is not None]
+
+
+def test_gould_and_the_tangent_row_have_sweeps():
+    assert SWEPT == [FormulaId.GOULD_DOUBLE_11, FormulaId.BRENT_HARVEY_TANGENT]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 300])
+@pytest.mark.parametrize("fid", SWEPT, ids=lambda fid: fid.value)
+def test_sweep_yields_the_per_index_value_at_every_applicable_index(fid, limit):
+    pairs = list(bernoulli_sweep(fid, limit))
+    assert [n for n, _ in pairs] == [n for n in range(limit + 1) if is_applicable(fid, n)]
+    for n, value in pairs:
+        assert value == formula_bernoulli_value(fid, n), n
+
+
 def test_registry_row_record_contract():
     row = formulas._Formula(bernoulli_higgins)
-    assert formulas._Formula._fields == ("evaluate", "lowest", "even_only", "trusted", "genocchi")
-    assert row[1:] == (0, False, True, False)
+    assert formulas._Formula._fields == (
+        "evaluate", "lowest", "even_only", "trusted", "genocchi", "sweep"
+    )
+    assert row[1:] == (0, False, True, False, None)  # sweep defaults to None
     with pytest.raises(AttributeError):
         row.lowest = 1
     with pytest.raises(AttributeError):

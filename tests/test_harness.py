@@ -100,13 +100,41 @@ def test_a_raising_formula_becomes_a_dissent_entry(monkeypatch):
     def boom(n):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(formulas, "bernoulli_gould_double", boom)
+    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", boom)
     report = verify_range(4)
     assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
     assert [r.n for r in report.records] == [0, 1, 2, 3, 4]  # the sweep goes on
     for record in report.records:
-        assert (FormulaId.GOULD_DOUBLE_11, "ERROR: ZeroDivisionError: boom") in record.dissenting
+        assert (FormulaId.STIRLING_RATIO_12, "ERROR: ZeroDivisionError: boom") in record.dissenting
         assert record.consensus == bernoulli_series_oracle(record.n)
+
+
+def test_swept_report_equals_the_per_index_report():
+    records = tuple(harness._record_for(n, evaluate_all(n)) for n in range(121))
+    assert verify_range(120).records == records
+
+
+def test_a_raising_sweep_hands_its_index_and_the_rest_to_the_per_index_path(monkeypatch):
+    sweep = formulas._gould_sweep
+
+    def breaking(max_n):
+        for n, value in sweep(max_n):
+            if n == 2:
+                raise ArithmeticError("the sweep broke")
+            yield n, value
+
+    def boom(n):
+        raise ZeroDivisionError(f"boom at {n}")
+
+    monkeypatch.setattr(formulas, "_gould_sweep", breaking)
+    monkeypatch.setattr(formulas, "bernoulli_gould_double", boom)
+    report = verify_range(6)
+    assert [r.n for r in report.records] == list(range(7))
+    for record in report.records[:2]:  # read off the sweep
+        assert FormulaId.GOULD_DOUBLE_11 in record.agreeing
+    for record in report.records[2:]:  # evaluated per index, one error each
+        error = f"ERROR: ZeroDivisionError: boom at {record.n}"
+        assert (FormulaId.GOULD_DOUBLE_11, error) in record.dissenting
 
 
 def test_a_raising_oracle_aborts_the_sweep(monkeypatch):

@@ -4,7 +4,8 @@ Every module-global binding of a shared input is wrapped to record its
 name, each route is evaluated cold at a few indices, and the names it
 touched must equal the table below.  A new route fails here until its
 inputs are declared; the README's "Formula registry" section holds the same
-table.
+table.  A row's sweep, which `verify` reads in its place, must touch the
+same inputs as the row.
 """
 import sys
 
@@ -66,4 +67,29 @@ def test_route_reads_only_its_declared_shared_inputs(monkeypatch, route):
             derivatives.genocchi_from_derivatives(n)
         elif formulas.is_applicable(route, n):
             formulas.formula_value(route, n)
+    assert touched == ROUTE_INPUTS[route]
+
+
+SWEPT_ROUTES = [fid for fid in FormulaId if formulas.bernoulli_sweep(fid, 0) is not None]
+
+
+@pytest.mark.parametrize("route", SWEPT_ROUTES, ids=lambda r: r.value)
+def test_sweep_reads_only_its_declared_shared_inputs(monkeypatch, route):
+    touched = set()
+
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            touched.add(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    reset_caches()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bernocchi"]
+    for name, home in SHARED_INPUTS.items():
+        original = getattr(home, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording(name, original))
+    assert len(list(formulas.bernoulli_sweep(route, 20))) > 1
     assert touched == ROUTE_INPUTS[route]
