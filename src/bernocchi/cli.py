@@ -13,15 +13,7 @@ import sys
 
 from .cache import cache_dir, cache_file
 from .exact import format_rational
-from .formulas import (
-    B0,
-    B1,
-    FormulaId,
-    bernoulli_from_tangent,
-    formula_value,
-    genocchi_theorem,
-    tangent_numbers,
-)
+from .formulas import B0, B1, FormulaId, bernoulli_sweep, formula_value, genocchi_theorem
 from .harness import Verdict, bench, report_to_json, verify_range
 from .stirling import shared_triangle, triangle_build, triangle_save
 
@@ -31,6 +23,11 @@ BENCH_HEADER = "formula,n,reps,median_ns,value"
 # and memory (README, "CLI"): at 500 that is some 10-16 s and a Stirling
 # triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
 VERIFY_CEILING = 500
+# Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
+# about as n^3 in time (some 12 s at 5000); genocchi and stirling hold a
+# Stirling triangle whose size grows about as n^3 (0.2 GB at genocchi 1000,
+# and 0.28 GB for stirling 600 printed as JSON).
+TABLE_CEILINGS = {"bernoulli": 5000, "genocchi": 1000, "stirling": 600}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,9 +159,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    kind = args.kind
     if args.max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    kind = args.kind
+    if args.max_n > TABLE_CEILINGS[kind]:
+        raise ValueError(f"max_n must be at most {TABLE_CEILINGS[kind]} for table {kind}")
     if kind == "stirling":
         rows = shared_triangle(args.max_n).rows
         if args.format == "json":
@@ -178,14 +177,11 @@ def cmd_table(args) -> int:
         return 0
 
     if kind == "bernoulli":
-        # B_2k from one pass of tangent numbers; B_n = 0 at odd n >= 3, since
-        # x/(e^x - 1) + x/2 is even.
-        tangents = tangent_numbers(args.max_n // 2)
+        # B_2k from the tangent row's sweep, one pass of tangent numbers;
+        # B_n = 0 at odd n >= 3, since x/(e^x - 1) + x/2 is even.
+        evens = dict(bernoulli_sweep(FormulaId.BRENT_HARVEY_TANGENT, args.max_n))
         entries = [(0, B0), (1, B1)][: args.max_n + 1]
-        entries += [
-            (n, 0 if n % 2 else bernoulli_from_tangent(n // 2, tangents[n // 2]))
-            for n in range(2, args.max_n + 1)
-        ]
+        entries += [(n, evens.get(n, 0)) for n in range(2, args.max_n + 1)]
     else:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
     fields, rows = ("n", "value"), ((n, format_rational(v)) for n, v in entries)

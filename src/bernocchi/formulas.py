@@ -18,7 +18,7 @@ import threading
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, interpolate
@@ -154,6 +154,50 @@ def bernoulli_higgins(n: int) -> Fraction:
     return Fraction(total, common)
 
 
+def _higgins_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
+    """(n, B_n) by HIGGINS_9's terms grouped by j, for n = 0..max_n, in one pass.
+
+    With L_n = lcm(1..n+1) and e_j(n) = L_n sum_{k=j..n} C(k,j)/(k+1) as in
+    :func:`bernoulli_higgins`, the sum over k gains one term per index:
+
+        e_j(n) = e_j(n-1) (L_n/L_(n-1)) + C(n,j) (L_n/(n+1)),  e_n(n) = L_n/(n+1).
+
+    Three lists carry j^n, C(n,j) and e_j(n) from one index to the next; the
+    e_j are rescaled only when L_n grows, that is when n+1 is a prime power.
+    Per index that is one product by the small j per power, one Pascal step
+    per binomial and one product per e_j, then the sum of
+    (-1)^j j^n e_j(n), reduced once over L_n.  Reads no shared input.
+    """
+    common = 1  # L_(n-1), then L_n
+    powers: list[int] = []  # j^n
+    row: list[int] = []  # C(n, j)
+    scaled: list[int] = []  # e_j(n)
+    for n in range(max_n + 1):
+        grown = lcm(common, n + 1)
+        if grown != common:
+            factor = grown // common
+            scaled = [e * factor for e in scaled]
+            common = grown
+        share = common // (n + 1)
+        left = 0  # C(n-1, j-1)
+        total = 0
+        for j in range(n):
+            powers[j] *= j
+            entry = row[j]
+            row[j] = entry + left
+            left = entry
+            scaled[j] += row[j] * share
+            if j & 1:
+                total -= powers[j] * scaled[j]
+            else:
+                total += powers[j] * scaled[j]
+        powers.append(n**n)
+        row.append(1)
+        scaled.append(share)
+        total += (-1) ** n * powers[n] * share
+        yield n, Fraction(total, common)
+
+
 def bernoulli_stirling_single(n: int) -> Fraction:
     """B_n = sum_{k=0..n} (-1)^k k!/(k+1) S(n,k).
 
@@ -169,6 +213,29 @@ def bernoulli_stirling_single(n: int) -> Fraction:
         total += signed_factorial * (common // (k + 1)) * stirling
         signed_factorial *= -(k + 1)
     return Fraction(total, common)
+
+
+def _single_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
+    """(n, B_n) by STIRLING_SINGLE_10 for n = 0..max_n, in one pass.
+
+    The weights w_k = (-1)^k k! (L_n/(k+1)), L_n = lcm(1..n+1), gain one
+    entry per index, from a running signed factorial, and are rescaled by
+    L_n/L_(n-1) only when L_n grows.  Each B_n is then one dot product
+    with row n of the shared triangle over L_n, reduced once.
+    """
+    common = 1  # L_(n-1), then L_n
+    signed_factorial = 1  # (-1)^n n!
+    weights: list[int] = []  # w_k for k = 0..n
+    for n in range(max_n + 1):
+        grown = lcm(common, n + 1)
+        if grown != common:
+            factor = grown // common
+            weights = [w * factor for w in weights]
+            common = grown
+        if n:
+            signed_factorial *= -n
+        weights.append(signed_factorial * (common // (n + 1)))
+        yield n, Fraction(sum(map(mul, weights, shared_triangle(n).row(n))), common)
 
 
 def bernoulli_gould_double(n: int) -> Fraction:
@@ -211,19 +278,18 @@ def _gould_sum(n: int, inner: Iterable[int]) -> Fraction:
     """sum_{j=0..n} (-1)^j C(n+1,j+1) n!/(n+j)! I_j, with I_j read from inner.
 
     Summed in integers over the common denominator (2n)!/n!, so term j is
-    weighted by the integer (2n)!/(n+j)!, and reduced once.  C(n+1, j+1) is
-    a running product.  The denominator is formed before inner is read, so
-    an index past `math.factorial`'s range fails before any level is built.
+    weighted by the integer (-1)^j C(n+1,j+1) (2n)!/(n+j)!, and reduced once.
+    That weight starts at (n+1) (2n)!/n! and is carried to the next term by
+    the factor -(n-j)/((j+2)(n+j+1)); the division is exact, since every
+    weight is an integer.  The denominator is formed before inner is read,
+    so an index past `math.factorial`'s range fails before any level is built.
     """
     common = factorial(2 * n) // factorial(n)
-    weight = common  # (2n)!/(n+j)!
-    outer = n + 1  # C(n+1, j+1)
+    weight = (n + 1) * common  # (-1)^j C(n+1,j+1) (2n)!/(n+j)!
     total = 0
     for j, value in zip(range(n + 1), inner):
-        if j:
-            weight //= n + j
-        total += (-1) ** j * outer * weight * value
-        outer = outer * (n - j) // (j + 2)
+        total += weight * value
+        weight = weight * -(n - j) // ((j + 2) * (n + j + 1))
     return Fraction(total, common)
 
 
@@ -461,8 +527,12 @@ class _Formula(NamedTuple):
 # that name (a profiler, a test double) is the one called.
 _REGISTRY: dict[FormulaId, _Formula] = {
     FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n)),
-    FormulaId.HIGGINS_9: _Formula(lambda n: bernoulli_higgins(n)),
-    FormulaId.STIRLING_SINGLE_10: _Formula(lambda n: bernoulli_stirling_single(n)),
+    FormulaId.HIGGINS_9: _Formula(
+        lambda n: bernoulli_higgins(n), sweep=lambda max_n: _higgins_sweep(max_n)
+    ),
+    FormulaId.STIRLING_SINGLE_10: _Formula(
+        lambda n: bernoulli_stirling_single(n), sweep=lambda max_n: _single_sweep(max_n)
+    ),
     FormulaId.GOULD_DOUBLE_11: _Formula(
         lambda n: bernoulli_gould_double(n), sweep=lambda max_n: _gould_sweep(max_n)
     ),

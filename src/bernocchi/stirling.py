@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 10
+# Largest n the series route accepts.  Building the rows of e^x - 1 powers
+# to n takes about n^3 products of integers that grow with n, so time grows
+# about as n^4: some 7-8 s at 400, 20 s at 500 (README, "Numerical notes").
+SERIES_LIMIT = 400
 _FILE_MAGIC = "STIRLING2"
 _FILE_VERSION = "v1"
 
@@ -209,10 +213,13 @@ def stirling_via_series(n: int, k: int, order: int | None = None) -> int:
     checked: one below n cannot hold the requested coefficient and is
     rejected.  It selects no memo, since the kept rows do not depend on it.
     The power is kept n!-scaled in integers, so S(n, k) is one exact
-    division by k!; a remainder signals a bug and raises.
+    division by k!; a remainder signals a bug and raises.  An n above
+    SERIES_LIMIT is refused before any row is built.
     """
     if n < 0 or k < 1:
         raise ValueError("requires n >= 0 and k >= 1")
+    if n > SERIES_LIMIT:
+        raise ValueError(f"series route capped at n <= {SERIES_LIMIT}")
     if order is not None and order < n:
         raise ValueError(f"series order {order} too small for coefficient {n}")
     if k > n:

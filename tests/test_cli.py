@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import urllib.parse
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,11 +88,11 @@ def test_verify_exit_codes(capsys):
 
 
 def test_verify_exits_two_on_a_trusted_dissent(capsys, monkeypatch):
-    higgins = formulas.bernoulli_higgins
-    monkeypatch.setattr(formulas, "bernoulli_higgins", lambda n: higgins(n) + (n == 3))
+    ratio = formulas.bernoulli_stirling_ratio
+    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", lambda n: ratio(n) + (n == 3))
     report = verify_range(4)
     assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
-    assert report.records[3].dissenting == ((FormulaId.HIGGINS_9, "1"),)
+    assert report.records[3].dissenting == ((FormulaId.STIRLING_RATIO_12, "1"),)
     code, out, _ = run(capsys, "verify", "--max-n", "4")  # no --strict
     assert code == 2
     assert "TRUSTED_DISSENT_FOUND" in out
@@ -287,6 +288,44 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
         assert time.perf_counter() - start < 1
         assert result == (1, "", f"bernocchi: error: --max-n must be at most {cli.VERIFY_CEILING}\n")
     assert calls == [cli.VERIFY_CEILING]  # no refused request reached verify_range
+
+
+@pytest.mark.parametrize(
+    "kind, kernel, stand_in, least",
+    [
+        # CI prints bernoulli to 2100 and genocchi to 600, the benchmark
+        # bernoulli to 500; the tests print stirling to 120 at most.
+        pytest.param(
+            "bernoulli", "bernoulli_sweep", lambda formula, max_n: iter(()), 2100, id="bernoulli"
+        ),
+        pytest.param("genocchi", "genocchi_theorem", lambda k: Fraction(0), 600, id="genocchi"),
+        pytest.param(
+            "stirling", "shared_triangle", lambda max_n: stirling.triangle_build(0), 120, id="stirling"
+        ),
+    ],
+)
+def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
+    capsys, monkeypatch, kind, kernel, stand_in, least
+):
+    ceiling = cli.TABLE_CEILINGS[kind]
+    assert ceiling >= least
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return stand_in(*args)
+
+    monkeypatch.setattr(cli, kernel, recording)
+    assert run(capsys, "table", kind, str(ceiling))[0] == 0
+    reached = len(calls)
+    assert reached
+    message = f"bernocchi: error: max_n must be at most {ceiling} for table {kind}\n"
+    for fmt in cli.FORMATS:
+        start = time.perf_counter()
+        result = run(capsys, "table", kind, str(ceiling + 1), "--format", fmt)
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", message)
+    assert len(calls) == reached  # no refused request reached the kernel
 
 
 @pytest.mark.parametrize(

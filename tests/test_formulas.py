@@ -516,8 +516,13 @@ def test_formula_registry_flags():
 SWEPT = [fid for fid in FormulaId if bernoulli_sweep(fid, 0) is not None]
 
 
-def test_gould_and_the_tangent_row_have_sweeps():
-    assert SWEPT == [FormulaId.GOULD_DOUBLE_11, FormulaId.BRENT_HARVEY_TANGENT]
+def test_higgins_single_gould_and_the_tangent_row_have_sweeps():
+    assert SWEPT == [
+        FormulaId.HIGGINS_9,
+        FormulaId.STIRLING_SINGLE_10,
+        FormulaId.GOULD_DOUBLE_11,
+        FormulaId.BRENT_HARVEY_TANGENT,
+    ]
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 300])

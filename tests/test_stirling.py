@@ -1,6 +1,7 @@
 """Stirling triangle: three computation routes, enumeration oracle, disk format."""
 import random
 import sys
+import time
 from math import comb, factorial
 
 import pytest
@@ -163,6 +164,27 @@ def test_series_route_answers_above_the_diagonal_without_building_powers():
     kept = len(stirling._expm1_rows)
     assert stirling_via_series(3, 10**4) == 0
     assert len(stirling._expm1_rows) == kept
+
+
+def test_series_route_refuses_an_n_above_its_limit_before_any_row(monkeypatch):
+    # The tests build series rows to 120, perfbench/crosscheck.py to 60.
+    assert stirling.SERIES_LIMIT >= 120
+    calls = []
+
+    def recording(n):
+        calls.append(n)
+        return [0] * (n + 1)
+
+    monkeypatch.setattr(stirling, "_expm1_row", recording)
+    message = rf"^series route capped at n <= {stirling.SERIES_LIMIT}$"
+    for n, k in ((stirling.SERIES_LIMIT + 1, 1), (1200, 1200)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            stirling_via_series(n, k)
+        assert time.perf_counter() - start < 1
+    assert calls == []  # no refused request reached the rows
+    assert stirling_via_series(stirling.SERIES_LIMIT, 1) == 0
+    assert calls == [stirling.SERIES_LIMIT]
 
 
 def test_series_route_needs_no_stack_per_power():
