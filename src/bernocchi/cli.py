@@ -25,9 +25,16 @@ BENCH_HEADER = "formula,n,reps,median_ns,value"
 VERIFY_CEILING = 500
 # Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
 # about as n^3 in time (some 12 s at 5000); genocchi and stirling hold a
-# Stirling triangle whose size grows about as n^3 (0.2 GB at genocchi 1000,
-# and 0.28 GB for stirling 600 printed as JSON).
+# Stirling triangle whose size grows about as n^3 (0.2 GB at genocchi 1000).
 TABLE_CEILINGS = {"bernoulli": 5000, "genocchi": 1000, "stirling": 600}
+# Largest cache build MAX_N accepted (README, "CLI").  Writing the triangle
+# grows about as n^3.8 in time and its file about as n^3 log n: 11 s, 0.2 GB
+# and a 414 MB file at 1000; 1200 would take some 22 s and 0.7 GB of disk.
+CACHE_CEILING = 1000
+# Largest bench --max-n accepted (README, "CLI").  bench times the indices
+# 8, 16, 32, ... up to max_n, so every max_n up to 1023 stops at 512: 2.6 s
+# and 0.23 GB, against 21.5 s and 1.8 GB once 1024 is timed too.
+BENCH_CEILING = 1023
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +98,18 @@ def _print_csv(fields, rows) -> None:
     print(",".join(fields))
     for row in rows:
         print(",".join(map(str, row)))
+
+
+def _write_stirling_json(rows) -> None:
+    """Write json.dumps({"kind": "stirling", "rows": rows}, indent=2) and a
+    newline, one row at a time, so the text is never held whole."""
+    out = sys.stdout
+    out.write('{\n  "kind": "stirling",\n  "rows": [')
+    sep = "\n"
+    for row in rows:
+        out.write(f"{sep}    [\n      " + ",\n      ".join(map(str, row)) + "\n    ]")
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
 
 
 def _parse_formula(name: str) -> FormulaId:
@@ -167,10 +186,11 @@ def cmd_table(args) -> int:
     if kind == "stirling":
         rows = shared_triangle(args.max_n).rows
         if args.format == "json":
-            _print_json({"kind": kind, "rows": [list(row) for row in rows]})
+            _write_stirling_json(rows)
         elif args.format == "csv":
-            cells = ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
-            _print_csv(("n", "k", "value"), cells)
+            print("n,k,value")
+            for n, row in enumerate(rows):
+                sys.stdout.write("".join([f"{n},{k},{v}\n" for k, v in enumerate(row)]))
         else:
             for row in rows:
                 print(",".join(str(v) for v in row))
@@ -207,6 +227,8 @@ def _bench_indices(max_n: int) -> list[int]:
 def cmd_bench(args) -> int:
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
+    if args.max_n > BENCH_CEILING:
+        raise ValueError(f"--max-n must be at most {BENCH_CEILING}")
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     trusted = [fid for fid in FormulaId if fid.trusted]
@@ -226,6 +248,8 @@ def cmd_cache(args) -> int:
     if args.action == "build":
         if args.max_n is None or args.max_n < 0:
             raise ValueError("cache build requires a nonnegative max_n")
+        if args.max_n > CACHE_CEILING:
+            raise ValueError(f"max_n must be at most {CACHE_CEILING} for cache build")
         cache_dir().mkdir(parents=True, exist_ok=True)
         triangle_save(triangle_build(args.max_n), cache_file())
         print(str(cache_file()))

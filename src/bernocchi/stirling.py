@@ -268,21 +268,21 @@ def _validate_triangle(triangle: StirlingTriangle) -> None:
 def triangle_save(triangle: StirlingTriangle, path: str | Path) -> None:
     """Write the versioned plain-text cache format (see triangle_load).
 
-    The text goes to a temporary file in the same directory, which then
-    replaces `path` in one step: a reader sees the old file or the new one,
-    never a partial write.
+    Rows are written one at a time to a temporary file in the same
+    directory, which then replaces `path` in one step: a reader sees the
+    old file or the new one, never a partial write, and a write that fails
+    partway removes the temporary file.
     """
     path = Path(path)
-    lines = [f"{_FILE_MAGIC} {_FILE_VERSION} max_n={triangle.max_n}"]
-    count = 0
-    for n, row in enumerate(triangle.rows):
-        for k, value in enumerate(row):
-            lines.append(f"{n} {k} {value}")
-            count += 1
-    lines.append(f"END {count}")
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        temp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with open(temp, "w", encoding="ascii") as out:
+            out.write(f"{_FILE_MAGIC} {_FILE_VERSION} max_n={triangle.max_n}\n")
+            count = 0
+            for n, row in enumerate(triangle.rows):
+                out.write("".join([f"{n} {k} {value}\n" for k, value in enumerate(row)]))
+                count += len(row)
+            out.write(f"END {count}\n")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -329,6 +329,46 @@ def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
 
 
 @pytest.mark.parametrize(
+    "command, ceiling_name, kernel, stand_in, least, message",
+    [
+        # The compute-cached workload of perfbench/run.py builds the cache at 300.
+        pytest.param(
+            ("cache", "build"), "CACHE_CEILING", "triangle_build",
+            lambda max_n: stirling.triangle_build(0), 300,
+            "max_n must be at most {} for cache build",
+            id="cache-build",
+        ),
+        # The pinned bench-* cases above run bench --max-n 64.
+        pytest.param(
+            ("bench", "--max-n"), "BENCH_CEILING", "bench",
+            lambda formulas, indices, reps: [], 64, "--max-n must be at most {}",
+            id="bench",
+        ),
+    ],
+)
+def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(
+    capsys, monkeypatch, command, ceiling_name, kernel, stand_in, least, message
+):
+    ceiling = getattr(cli, ceiling_name)
+    assert ceiling >= least
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return stand_in(*args)
+
+    monkeypatch.setattr(cli, kernel, recording)
+    start = time.perf_counter()
+    result = run(capsys, *command, str(ceiling + 1))
+    assert time.perf_counter() - start < 1
+    assert result == (1, "", f"bernocchi: error: {message.format(ceiling)}\n")
+    assert calls == []  # the refused request reached no kernel
+    assert not cache_file().parent.exists()
+    assert run(capsys, *command, str(ceiling))[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "formula, n, message",
     [
         pytest.param("HIGGINS_9", 10**20, "too large to convert", id="HIGGINS_9"),

@@ -1,4 +1,5 @@
 """Stirling triangle: three computation routes, enumeration oracle, disk format."""
+import hashlib
 import random
 import sys
 import time
@@ -281,6 +282,13 @@ def test_save_load_round_trip(tmp_path):
     assert triangle_load(path) == t
 
 
+def test_save_bytes_are_pinned(tmp_path):
+    path = tmp_path / "stirling2.txt"
+    triangle_save(triangle_build(40), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "cb6d0beaa62e4ee3ae178f3b6b7c2e5cf682d058a75ec8aba17f59cb146d824b"
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -398,6 +406,28 @@ def test_failed_replace_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatc
     monkeypatch.setattr(stirling.os, "replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
         triangle_save(triangle_build(5), path)
+    assert list(tmp_path.glob(".stirling2.txt.*.tmp")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["stirling2.txt"]
+    assert path.read_bytes() == before
+
+
+def test_failed_write_partway_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "stirling2.txt"
+    triangle_save(triangle_build(3), path)
+    before = path.read_bytes()
+    temp_sizes = []
+
+    class Unwritable(int):
+        def __format__(self, spec):
+            temp_sizes.extend(p.stat().st_size for p in tmp_path.glob(".stirling2.txt.*.tmp"))
+            raise RuntimeError("cannot write")
+
+    # Rows 0..39 fill more than one write buffer before the last row fails.
+    rows = triangle_build(40).rows
+    broken = StirlingTriangle(40, (*rows[:40], (*rows[40][:-1], Unwritable(1))))
+    with pytest.raises(RuntimeError, match="cannot write"):
+        triangle_save(broken, path)
+    assert len(temp_sizes) == 1 and temp_sizes[0] > 0  # earlier rows were on disk
     assert list(tmp_path.glob(".stirling2.txt.*.tmp")) == []
     assert [p.name for p in tmp_path.iterdir()] == ["stirling2.txt"]
     assert path.read_bytes() == before
