@@ -35,6 +35,9 @@ CACHE_CEILING = 1000
 # 8, 16, 32, ... up to max_n, so every max_n up to 1023 stops at 512: 2.6 s
 # and 0.23 GB, against 21.5 s and 1.8 GB once 1024 is timed too.
 BENCH_CEILING = 1023
+# Largest bench --reps accepted (README, "CLI").  Time grows linearly with
+# it, 0.35-0.55 s per repetition at --max-n BENCH_CEILING: 25 took 12.6 s.
+BENCH_REPS_CEILING = 25
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,6 +234,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--max-n must be at most {BENCH_CEILING}")
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
+    if args.reps > BENCH_REPS_CEILING:
+        raise ValueError(f"--reps must be at most {BENCH_REPS_CEILING}")
     trusted = [fid for fid in FormulaId if fid.trusted]
     records = bench(trusted, _bench_indices(args.max_n), args.reps)
     if args.deterministic:

@@ -410,22 +410,26 @@ def bernoulli_double_stirling(k: int) -> Fraction:
     needs rows up to 2k+1.
 
     Since 1/C(2k,m) = m! (2k-m)!/(2k)!, both sums are (2k)! times integer
-    sums F and S over one list of factorials, and
-    B_{2k} = ((2k+1)((2k)! + F) - 2k S) / (2k+1)!, reduced once.
+    sums over the products P_j = S(2k+1,j) S(2k,2k+1-j), with
+    V_j = j! (2k-j)!: the first is sum_{j=2..2k} P_j V_(j-1) (j = m+1) and
+    the second sum_{j=1..2k} P_j V_j (j = 2k-m+1).  So
+    B_{2k} = ((2k+1)! + sum_j c_j P_j) / (2k+1)!, reduced once, with the
+    weight c_j = (2k+1) V_(j-1) [j >= 2] - 2k V_j.  V_0 = (2k)! and
+    V_j = V_(j-1) j / (2k-j+1), an exact division since V_j is an integer.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    rows = shared_triangle(2 * k + 1).rows
     n2 = 2 * k
-    fact = [1]  # 0!..(2k+1)!
-    for i in range(1, n2 + 2):
-        fact.append(fact[-1] * i)
+    v = factorial(n2)  # V_0
+    common = (n2 + 1) * v  # (2k+1)!
+    rows = shared_triangle(n2 + 1).rows
     even, odd = rows[n2], rows[n2 + 1]
-    first = sum(odd[m + 1] * even[n2 - m] * fact[m] * fact[n2 - m] for m in range(1, n2))
-    second = sum(
-        even[m] * odd[n2 - m + 1] * fact[m - 1] * fact[n2 - m + 1] for m in range(1, n2 + 1)
-    )
-    return Fraction((n2 + 1) * (fact[n2] + first) - n2 * second, fact[n2 + 1])
+    total = 0
+    for j in range(1, n2 + 1):
+        below, v = v, v * j // (n2 + 1 - j)  # V_(j-1), V_j
+        weight = (n2 + 1) * below - n2 * v if j > 1 else -n2 * v
+        total += weight * (odd[j] * even[n2 + 1 - j])
+    return Fraction(common + total, common)
 
 
 def genocchi_theorem(k: int) -> Fraction:

@@ -201,7 +201,47 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_to_json(report: VerificationReport) -> str:
-    import json  # loaded only when JSON is printed
+def _json_string(text: str) -> str:
+    """text as json.dumps writes a str: printable ASCII without " or \\ as
+    it is, anything else through json's own escaping."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # loaded only for text that needs escaping
 
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(text)
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Items, each already JSON text, laid out as json.dumps(indent=2) lays
+    out an array whose closing bracket is at indent."""
+    if not items:
+        return "[]"
+    step = f"\n{indent}  "
+    return f"[{step}" + f",{step}".join(items) + f"\n{indent}]"
+
+
+def report_to_json(report: VerificationReport) -> str:
+    """json.dumps(report_to_dict(report), indent=2), byte for byte, written
+    directly: every key, formula name, verdict and rational is plain ASCII,
+    so only a dissent value can need escaping."""
+    records = []
+    for r in report.records:
+        agreeing = _json_array([f'"{fid.value}"' for fid in r.agreeing], " " * 6)
+        dissenting = _json_array(
+            [
+                f'{{\n          "formula": "{fid.value}",\n'
+                f'          "value": {_json_string(value)}\n        }}'
+                for fid, value in r.dissenting
+            ],
+            " " * 6,
+        )
+        records.append(
+            f'{{\n      "n": {r.n},\n      "consensus": "{format_rational(r.consensus)}",\n'
+            f'      "agreeing": {agreeing},\n      "dissenting": {dissenting}\n    }}'
+        )
+    return (
+        f'{{\n  "max_n": {report.max_n},\n  "verdict": "{report.verdict.value}",\n'
+        f'  "summary": {{\n    "agreements": {report.agreements},\n'
+        f'    "dissents": {report.dissents}\n  }},\n'
+        f'  "records": {_json_array(records, "  ")}\n}}'
+    )

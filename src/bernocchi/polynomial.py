@@ -10,8 +10,13 @@ __all__ = ["RationalPolynomial", "X", "interpolate"]
 
 
 def _integer_form(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
-    """(e, s) with values = s/e: e the lcm of the denominators, s integers."""
+    """(e, s) with values = s/e: e the lcm of the denominators, s integers.
+
+    All-int input is returned as it is, in a new list, over e = 1.
+    """
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    if all(type(v) is int for v in values):
+        return 1, values
     e = lcm(*(v.denominator for v in values))
     return e, [v.numerator * (e // v.denominator) for v in values]
 
@@ -100,10 +105,11 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     (next - this) * (step_j // gap), an integer.  Horner's rule in the
     Newton basis, acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives
     the integer polynomial scale_N * e * p(t/d), so coefficient m of the
-    result is acc_m d^m / (scale_N e).  Each Horner step updates acc in
-    place from the constant term up, saving entry i before it is
-    overwritten for use at entry i+1.  The abscissas must be pairwise
-    distinct.
+    result is acc_m d^m / (scale_N e); integer nodes (d = 1) skip that
+    rescale, and integer nodes and values are used without a copy.  Each
+    Horner step updates acc in place from the constant term up, saving
+    entry i before it is overwritten for use at entry i+1.  The abscissas
+    must be pairwise distinct.
 
     On equally spaced nodes every gap of level j equals X_j - X_0, which is
     taken as step_j, so the levels are plain forward differences and no
@@ -141,4 +147,6 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
             below = old
         acc[0] += top * weight
         weight *= step
-    return RationalPolynomial([c * d**m for m, c in enumerate(acc)], weight * e)
+    if d != 1:
+        acc = [c * d**m for m, c in enumerate(acc)]
+    return RationalPolynomial(acc, weight * e)

@@ -344,6 +344,12 @@ def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
             lambda formulas, indices, reps: [], 64, "--max-n must be at most {}",
             id="bench",
         ),
+        # tests/test_acceptance.py and the README example run bench --reps 3.
+        pytest.param(
+            ("bench", "--max-n", "8", "--reps"), "BENCH_REPS_CEILING", "bench",
+            lambda formulas, indices, reps: [], 3, "--reps must be at most {}",
+            id="bench-reps",
+        ),
     ],
 )
 def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernocchi import formulas, harness
 from bernocchi.formulas import FormulaId, bernoulli_series_oracle
@@ -164,6 +166,49 @@ def test_report_serialization_schema():
         {"formula": "TANGENT_DOUBLE_14_AS_PRINTED", "value": "1/3"}
     ]
     assert json.loads(report_to_json(report)) == data
+
+
+def assert_written_as_json_dumps(report):
+    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 4, 40])
+def test_report_json_is_json_dumps_of_the_dict(max_n):
+    assert_written_as_json_dumps(verify_range(max_n))
+
+
+formula_ids = st.sampled_from(list(FormulaId))
+# Text that JSON must escape: quote, backslash, C0 controls, DEL, non-ASCII,
+# a lone surrogate and an astral character, mixed with plain ASCII.
+awkward_text = st.text(st.sampled_from('"\\\x00\x08\t\n\x1f\x7f \xe9\u2028\ud800\U0001d11e/-1aZ'))
+index_records = st.builds(
+    IndexRecord,
+    n=st.integers(0, 10**6),
+    consensus=st.fractions(),
+    agreeing=st.lists(formula_ids, max_size=4).map(tuple),
+    dissenting=st.lists(st.tuples(formula_ids, st.text() | awkward_text), max_size=3).map(tuple),
+)
+reports = st.builds(
+    VerificationReport,
+    max_n=st.integers(0, 500),
+    records=st.lists(index_records, max_size=4).map(tuple),
+    agreements=st.integers(0, 10**4),
+    dissents=st.integers(0, 10**4),
+    verdict=st.sampled_from(list(Verdict)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports)
+def test_report_json_escapes_any_dissent_text_as_json_dumps_does(report):
+    assert_written_as_json_dumps(report)
+
+
+def test_report_json_writes_an_empty_agreeing_list():
+    record = IndexRecord(3, Fraction(-1, 2), (), ((FormulaId.HIGGINS_9, 'ERROR: ValueError: "x"'),))
+    report = VerificationReport(3, (record,), 0, 1, Verdict.TRUSTED_DISSENT_FOUND)
+    assert '"agreeing": [],' in report_to_json(report)
+    assert_written_as_json_dumps(report)
 
 
 def test_bench_empty_inputs():

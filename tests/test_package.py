@@ -47,6 +47,28 @@ def test_cli_import_loads_no_module_the_commands_do_not_run():
     assert result.stdout.split() == []
 
 
+def test_verify_as_json_does_not_load_json():
+    # -X importtime lists every module a real `python -m` run imports; those
+    # the interpreter's own start-up loads are not counted.
+    src = Path(bernocchi.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def imported(*args):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+        return result.stdout, {line.rpartition("|")[2].strip() for line in lines}
+
+    _, startup = imported("-c", "pass")
+    out, loaded = imported("-m", "bernocchi.cli", "verify", "--max-n", "4", "--format", "json")
+    loaded -= startup
+    assert out.startswith('{\n  "max_n": 4,')
+    assert "bernocchi.harness" in loaded
+    assert {m for m in loaded if m.partition(".")[0] == "json"} == set()
+
+
 LIBRARY_MODULES = ("exact", "polynomial", "stirling", "formulas", "derivatives", "harness")
 
 
