@@ -11,11 +11,8 @@ import argparse
 import os
 import sys
 
-from .cache import cache_dir, cache_file
-from .exact import format_rational
-from .formulas import B0, B1, FormulaId, bernoulli_sweep, formula_value, genocchi_theorem
-from .harness import Verdict, bench, report_to_json, verify_range
-from .stirling import shared_triangle, triangle_build, triangle_save
+# Each command imports the library names it runs, so that --help, a usage
+# error and every command load only the modules they need (README, "Start-up").
 
 FORMATS = ("plain", "csv", "json")
 BENCH_HEADER = "formula,n,reps,median_ns,value"
@@ -91,31 +88,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_json(value) -> None:
-    import json  # loaded only when JSON is printed
-
-    print(json.dumps(value, indent=2))
-
-
 def _print_csv(fields, rows) -> None:
     print(",".join(fields))
     for row in rows:
         print(",".join(map(str, row)))
 
 
-def _write_stirling_json(rows) -> None:
-    """Write json.dumps({"kind": "stirling", "rows": rows}, indent=2) and a
-    newline, one row at a time, so the text is never held whole."""
+def _json_record(fields, row, indent: str) -> str:
+    """dict(zip(fields, row)) as json.dumps(indent=2) lays out an object
+    whose closing brace is at indent; each value is a str or an int."""
+    from .exact import _json_string
+
+    step = f"\n{indent}  "
+    members = (
+        f'"{key}": ' + (_json_string(value) if isinstance(value, str) else str(value))
+        for key, value in zip(fields, row)
+    )
+    return "{" + step + f",{step}".join(members) + f"\n{indent}}}"
+
+
+def _write_table_json(kind: str, rows) -> None:
+    """Write json.dumps({"kind": kind, "rows": rows}, indent=2) and a
+    newline, where each row is already JSON text laid out for its depth,
+    one row at a time, so the text is never held whole."""
+    from .exact import _json_array
+
     out = sys.stdout
-    out.write('{\n  "kind": "stirling",\n  "rows": [')
-    sep = "\n"
-    for row in rows:
-        out.write(f"{sep}    [\n      " + ",\n      ".join(map(str, row)) + "\n    ]")
-        sep = ",\n"
-    out.write("\n  ]\n}\n")
+    out.write(f'{{\n  "kind": "{kind}",\n  "rows": ')
+    out.writelines(_json_array(rows, "  "))
+    out.write("\n}\n")
 
 
 def _parse_formula(name: str) -> FormulaId:
+    from .formulas import FormulaId
+
     try:
         return FormulaId(name.upper())
     except ValueError:
@@ -124,6 +130,9 @@ def _parse_formula(name: str) -> FormulaId:
 
 
 def cmd_compute(args) -> int:
+    from .exact import format_rational
+    from .formulas import formula_value
+
     fid = _parse_formula(args.formula)
     value = format_rational(formula_value(fid, args.n))
     fields, row = ("formula", "n", "value"), (fid.value, args.n, value)
@@ -132,7 +141,7 @@ def cmd_compute(args) -> int:
     elif args.format == "csv":
         _print_csv(fields, [row])
     else:
-        _print_json(dict(zip(fields, row)))
+        print(_json_record(fields, row, ""))
     return 0
 
 
@@ -153,6 +162,9 @@ def cmd_verify(args) -> int:
         raise ValueError("--max-n must be nonnegative")
     if args.max_n > VERIFY_CEILING:
         raise ValueError(f"--max-n must be at most {VERIFY_CEILING}")
+    from .exact import format_rational
+    from .harness import Verdict, report_to_json, verify_range
+
     report = verify_range(args.max_n)
     if args.format == "json":
         print(report_to_json(report))
@@ -187,9 +199,13 @@ def cmd_table(args) -> int:
     if args.max_n > TABLE_CEILINGS[kind]:
         raise ValueError(f"max_n must be at most {TABLE_CEILINGS[kind]} for table {kind}")
     if kind == "stirling":
+        from .stirling import shared_triangle
+
         rows = shared_triangle(args.max_n).rows
         if args.format == "json":
-            _write_stirling_json(rows)
+            from .exact import _json_array
+
+            _write_table_json(kind, ("".join(_json_array(map(str, row), "    ")) for row in rows))
         elif args.format == "csv":
             print("n,k,value")
             for n, row in enumerate(rows):
@@ -198,6 +214,9 @@ def cmd_table(args) -> int:
             for row in rows:
                 print(",".join(str(v) for v in row))
         return 0
+
+    from .exact import format_rational
+    from .formulas import B0, B1, FormulaId, bernoulli_sweep, genocchi_theorem
 
     if kind == "bernoulli":
         # B_2k from the tangent row's sweep, one pass of tangent numbers;
@@ -209,7 +228,7 @@ def cmd_table(args) -> int:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
     fields, rows = ("n", "value"), ((n, format_rational(v)) for n, v in entries)
     if args.format == "json":
-        _print_json({"kind": kind, "rows": [dict(zip(fields, row)) for row in rows]})
+        _write_table_json(kind, (_json_record(fields, row, "    ") for row in rows))
     elif args.format == "csv":
         _print_csv(fields, rows)
     else:
@@ -236,6 +255,9 @@ def cmd_bench(args) -> int:
         raise ValueError("--reps must be >= 1")
     if args.reps > BENCH_REPS_CEILING:
         raise ValueError(f"--reps must be at most {BENCH_REPS_CEILING}")
+    from .formulas import FormulaId
+    from .harness import bench
+
     trusted = [fid for fid in FormulaId if fid.trusted]
     records = bench(trusted, _bench_indices(args.max_n), args.reps)
     if args.deterministic:
@@ -243,18 +265,24 @@ def cmd_bench(args) -> int:
     fields = BENCH_HEADER.split(",")
     rows = [(r.formula.value, r.n, r.repetitions, r.median_ns, r.value) for r in records]
     if args.format == "json":
-        _print_json([dict(zip(fields, row)) for row in rows])
+        from .exact import _json_array
+
+        print("".join(_json_array((_json_record(fields, row, "  ") for row in rows), "")))
     else:  # the bench contract is CSV; plain and csv coincide
         _print_csv(fields, rows)
     return 0
 
 
 def cmd_cache(args) -> int:
+    from .cache import cache_dir, cache_file
+
     if args.action == "build":
         if args.max_n is None or args.max_n < 0:
             raise ValueError("cache build requires a nonnegative max_n")
         if args.max_n > CACHE_CEILING:
             raise ValueError(f"max_n must be at most {CACHE_CEILING} for cache build")
+        from .stirling import triangle_build, triangle_save
+
         cache_dir().mkdir(parents=True, exist_ok=True)
         triangle_save(triangle_build(args.max_n), cache_file())
         print(str(cache_file()))

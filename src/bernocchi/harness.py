@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import format_rational
+from .exact import _json_array, _json_string, format_rational
 from .formulas import FormulaId, bernoulli_sweep, formula_bernoulli_value, is_applicable
 
 __all__ = [
@@ -201,40 +201,19 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def _json_string(text: str) -> str:
-    """text as json.dumps writes a str: printable ASCII without " or \\ as
-    it is, anything else through json's own escaping."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
-    import json  # loaded only for text that needs escaping
-
-    return json.dumps(text)
-
-
-def _json_array(items: list[str], indent: str) -> str:
-    """Items, each already JSON text, laid out as json.dumps(indent=2) lays
-    out an array whose closing bracket is at indent."""
-    if not items:
-        return "[]"
-    step = f"\n{indent}  "
-    return f"[{step}" + f",{step}".join(items) + f"\n{indent}]"
-
-
 def report_to_json(report: VerificationReport) -> str:
     """json.dumps(report_to_dict(report), indent=2), byte for byte, written
     directly: every key, formula name, verdict and rational is plain ASCII,
     so only a dissent value can need escaping."""
     records = []
     for r in report.records:
-        agreeing = _json_array([f'"{fid.value}"' for fid in r.agreeing], " " * 6)
-        dissenting = _json_array(
-            [
-                f'{{\n          "formula": "{fid.value}",\n'
-                f'          "value": {_json_string(value)}\n        }}'
-                for fid, value in r.dissenting
-            ],
-            " " * 6,
+        agreeing = "".join(_json_array((f'"{fid.value}"' for fid in r.agreeing), " " * 6))
+        dissents = (
+            f'{{\n          "formula": "{fid.value}",\n'
+            f'          "value": {_json_string(value)}\n        }}'
+            for fid, value in r.dissenting
         )
+        dissenting = "".join(_json_array(dissents, " " * 6))
         records.append(
             f'{{\n      "n": {r.n},\n      "consensus": "{format_rational(r.consensus)}",\n'
             f'      "agreeing": {agreeing},\n      "dissenting": {dissenting}\n    }}'
@@ -243,5 +222,5 @@ def report_to_json(report: VerificationReport) -> str:
         f'{{\n  "max_n": {report.max_n},\n  "verdict": "{report.verdict.value}",\n'
         f'  "summary": {{\n    "agreements": {report.agreements},\n'
         f'    "dissents": {report.dissents}\n  }},\n'
-        f'  "records": {_json_array(records, "  ")}\n}}'
+        f'  "records": {"".join(_json_array(records, "  "))}\n}}'
     )

@@ -279,7 +279,7 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
         calls.append(max_n)
         return verify_range(0)
 
-    monkeypatch.setattr(cli, "verify_range", recording)
+    monkeypatch.setattr("bernocchi.harness.verify_range", recording)
     assert run(capsys, "verify", "--max-n", str(cli.VERIFY_CEILING))[0] == 0
     assert calls == [cli.VERIFY_CEILING]
     for fmt in cli.FORMATS:
@@ -296,11 +296,15 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
         # CI prints bernoulli to 2100 and genocchi to 600, the benchmark
         # bernoulli to 500; the tests print stirling to 120 at most.
         pytest.param(
-            "bernoulli", "bernoulli_sweep", lambda formula, max_n: iter(()), 2100, id="bernoulli"
+            "bernoulli", "bernocchi.formulas.bernoulli_sweep", lambda formula, max_n: iter(()), 2100,
+            id="bernoulli",
         ),
-        pytest.param("genocchi", "genocchi_theorem", lambda k: Fraction(0), 600, id="genocchi"),
         pytest.param(
-            "stirling", "shared_triangle", lambda max_n: stirling.triangle_build(0), 120, id="stirling"
+            "genocchi", "bernocchi.formulas.genocchi_theorem", lambda k: Fraction(0), 600, id="genocchi"
+        ),
+        pytest.param(
+            "stirling", "bernocchi.stirling.shared_triangle", lambda max_n: stirling.triangle_build(0),
+            120, id="stirling",
         ),
     ],
 )
@@ -315,7 +319,7 @@ def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
         calls.append(args)
         return stand_in(*args)
 
-    monkeypatch.setattr(cli, kernel, recording)
+    monkeypatch.setattr(kernel, recording)
     assert run(capsys, "table", kind, str(ceiling))[0] == 0
     reached = len(calls)
     assert reached
@@ -333,20 +337,20 @@ def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
     [
         # The compute-cached workload of perfbench/run.py builds the cache at 300.
         pytest.param(
-            ("cache", "build"), "CACHE_CEILING", "triangle_build",
-            lambda max_n: stirling.triangle_build(0), 300,
+            ("cache", "build"), "CACHE_CEILING", "bernocchi.stirling.triangle_build",
+            lambda max_n, build=stirling.triangle_build: build(0), 300,
             "max_n must be at most {} for cache build",
             id="cache-build",
         ),
         # The pinned bench-* cases above run bench --max-n 64.
         pytest.param(
-            ("bench", "--max-n"), "BENCH_CEILING", "bench",
+            ("bench", "--max-n"), "BENCH_CEILING", "bernocchi.harness.bench",
             lambda formulas, indices, reps: [], 64, "--max-n must be at most {}",
             id="bench",
         ),
         # tests/test_acceptance.py and the README example run bench --reps 3.
         pytest.param(
-            ("bench", "--max-n", "8", "--reps"), "BENCH_REPS_CEILING", "bench",
+            ("bench", "--max-n", "8", "--reps"), "BENCH_REPS_CEILING", "bernocchi.harness.bench",
             lambda formulas, indices, reps: [], 3, "--reps must be at most {}",
             id="bench-reps",
         ),
@@ -363,7 +367,7 @@ def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(
         calls.append(args)
         return stand_in(*args)
 
-    monkeypatch.setattr(cli, kernel, recording)
+    monkeypatch.setattr(kernel, recording)
     start = time.perf_counter()
     result = run(capsys, *command, str(ceiling + 1))
     assert time.perf_counter() - start < 1
@@ -478,6 +482,30 @@ def test_table_csv_and_json(capsys):
     assert out == "n,k,value\n0,0,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n2,2,1\n"
     code, out, _ = run(capsys, "table", "genocchi", "2", "--format", "json")
     assert '"value": "-1"' in out
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("compute", "GENOCCHI_THEOREM_16", "18"),
+         {"formula": "GENOCCHI_THEOREM_16", "n": 18, "value": "-28820619"}),
+        (("table", "genocchi", "0"), {"kind": "genocchi", "rows": []}),
+        (("table", "genocchi", "3"),
+         {"kind": "genocchi", "rows": [{"n": 1, "value": "1"}, {"n": 2, "value": "-1"},
+                                       {"n": 3, "value": "0"}]}),
+        (("table", "stirling", "0"), {"kind": "stirling", "rows": [[1]]}),
+        (("bench", "--max-n", "7"), []),
+        (("bench", "--max-n", "8", "--reps", "1", "--deterministic"), None),
+    ],
+    ids=["compute", "genocchi-empty", "genocchi", "stirling-one-row", "bench-empty", "bench"],
+)
+def test_json_output_is_json_dumps_of_its_value(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    parsed = json.loads(out)
+    if value is not None:
+        assert parsed == value
+    assert out == json.dumps(parsed, indent=2) + "\n"
 
 
 def test_table_output_is_stable(capsys):

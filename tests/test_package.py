@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import bernocchi
 
 
@@ -89,3 +91,91 @@ def test_package_reexports_each_library_module_all():
 def test_package_does_not_reexport_the_cache_helpers():
     for name in ("ENV_CACHE_DIR", "cache_dir", "cache_file"):
         assert not hasattr(bernocchi, name), name
+
+
+LIBRARY = {f"bernocchi.{name}" for name in LIBRARY_MODULES}
+
+
+def _importtime(*args):
+    """A real `python -X importtime` run: its result and the modules it
+    imported, less those the interpreter's own start-up imports."""
+    src = Path(bernocchi.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env
+        )
+        lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+        return result, {line.rpartition("|")[2].strip() for line in lines}
+
+    result, loaded = run(*args)
+    return result, loaded - run("-c", "pass")[1]
+
+
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("compute",), 1)], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_no_library_module(argv, code):
+    result, loaded = _importtime("-m", "bernocchi.cli", *argv)
+    assert result.returncode == code
+    assert "bernocchi" in loaded
+    assert loaded & (LIBRARY | {"fractions"}) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (("compute", "GOULD_DOUBLE_11", "40"), "bernocchi.formulas"),
+        (("table", "bernoulli", "10"), "bernocchi.formulas"),
+        (("cache", "path"), "bernocchi.cache"),
+    ],
+    ids=["compute", "table-bernoulli", "cache-path"],
+)
+def test_compute_table_and_cache_do_not_load_harness_or_derivatives(argv, runs):
+    result, loaded = _importtime("-m", "bernocchi.cli", *argv)
+    assert result.returncode == 0
+    assert runs in loaded
+    assert loaded & {"bernocchi.harness", "bernocchi.derivatives"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "GENOCCHI_THEOREM_16", "12"),
+        ("table", "bernoulli", "10"),
+        ("table", "genocchi", "0"),
+        ("table", "stirling", "4"),
+        ("bench", "--max-n", "8", "--reps", "1", "--deterministic"),
+    ],
+    ids=["compute", "table-bernoulli", "table-genocchi-empty", "table-stirling", "bench"],
+)
+def test_json_output_does_not_load_json(argv):
+    result, loaded = _importtime("-m", "bernocchi.cli", *argv, "--format", "json")
+    assert result.returncode == 0
+    assert result.stdout[:1] in "{["
+    assert {m for m in loaded if m.partition(".")[0] == "json"} == set()
+
+
+@pytest.mark.parametrize("statement", ["import bernocchi", "import bernocchi.cli"])
+def test_importing_the_package_loads_no_library_module(statement):
+    result, loaded = _importtime("-c", statement)
+    assert result.returncode == 0
+    assert "bernocchi" in loaded
+    assert loaded & (LIBRARY | {"fractions"}) == set()
+
+
+def test_star_import_and_dir_reach_every_library_name_in_a_fresh_interpreter():
+    # The first access of any package attribute loads the whole library;
+    # reset_caches imports what it resets.
+    probe = (
+        "import importlib, bernocchi\n"
+        "from bernocchi import *\n"
+        "reset_caches()\n"
+        "listed = set(dir(bernocchi))\n"
+        f"for name in {LIBRARY_MODULES!r}:\n"
+        "    module = importlib.import_module('bernocchi.' + name)\n"
+        "    for attr in module.__all__:\n"
+        "        if globals().get(attr) is not getattr(module, attr) or attr not in listed:\n"
+        "            print(name, attr)\n"
+    )
+    result, _ = _importtime("-c", probe)
+    assert (result.returncode, result.stdout) == (0, "")
