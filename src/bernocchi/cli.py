@@ -94,29 +94,13 @@ def _print_csv(fields, rows) -> None:
         print(",".join(map(str, row)))
 
 
-def _json_record(fields, row, indent: str) -> str:
-    """dict(zip(fields, row)) as json.dumps(indent=2) lays out an object
-    whose closing brace is at indent; each value is a str or an int."""
-    from .exact import _json_string
+def _print_json(value) -> None:
+    """Write json.dumps(value, indent=2) and a newline, piece by piece, so a
+    streamed array is never held whole."""
+    from .exact import _json_text
 
-    step = f"\n{indent}  "
-    members = (
-        f'"{key}": ' + (_json_string(value) if isinstance(value, str) else str(value))
-        for key, value in zip(fields, row)
-    )
-    return "{" + step + f",{step}".join(members) + f"\n{indent}}}"
-
-
-def _write_table_json(kind: str, rows) -> None:
-    """Write json.dumps({"kind": kind, "rows": rows}, indent=2) and a
-    newline, where each row is already JSON text laid out for its depth,
-    one row at a time, so the text is never held whole."""
-    from .exact import _json_array
-
-    out = sys.stdout
-    out.write(f'{{\n  "kind": "{kind}",\n  "rows": ')
-    out.writelines(_json_array(rows, "  "))
-    out.write("\n}\n")
+    sys.stdout.writelines(_json_text(value))
+    sys.stdout.write("\n")
 
 
 def _parse_formula(name: str) -> FormulaId:
@@ -135,13 +119,13 @@ def cmd_compute(args) -> int:
 
     fid = _parse_formula(args.formula)
     value = format_rational(formula_value(fid, args.n))
-    fields, row = ("formula", "n", "value"), (fid.value, args.n, value)
+    record = {"formula": fid.value, "n": args.n, "value": value}
     if args.format == "plain":
         print(value)
     elif args.format == "csv":
-        _print_csv(fields, [row])
+        _print_csv(record, [record.values()])
     else:
-        print(_json_record(fields, row, ""))
+        _print_json(record)
     return 0
 
 
@@ -203,9 +187,7 @@ def cmd_table(args) -> int:
 
         rows = shared_triangle(args.max_n).rows
         if args.format == "json":
-            from .exact import _json_array
-
-            _write_table_json(kind, ("".join(_json_array(map(str, row), "    ")) for row in rows))
+            _print_json({"kind": kind, "rows": iter(rows)})  # an iterator: one row at a time
         elif args.format == "csv":
             print("n,k,value")
             for n, row in enumerate(rows):
@@ -226,11 +208,11 @@ def cmd_table(args) -> int:
         entries += [(n, evens.get(n, 0)) for n in range(2, args.max_n + 1)]
     else:
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
-    fields, rows = ("n", "value"), ((n, format_rational(v)) for n, v in entries)
+    rows = ((n, format_rational(v)) for n, v in entries)
     if args.format == "json":
-        _write_table_json(kind, (_json_record(fields, row, "    ") for row in rows))
+        _print_json({"kind": kind, "rows": ({"n": n, "value": v} for n, v in rows)})
     elif args.format == "csv":
-        _print_csv(fields, rows)
+        _print_csv(("n", "value"), rows)
     else:
         for n, v in rows:
             print(f"{n} {v}")
@@ -265,9 +247,7 @@ def cmd_bench(args) -> int:
     fields = BENCH_HEADER.split(",")
     rows = [(r.formula.value, r.n, r.repetitions, r.median_ns, r.value) for r in records]
     if args.format == "json":
-        from .exact import _json_array
-
-        print("".join(_json_array((_json_record(fields, row, "  ") for row in rows), "")))
+        _print_json([dict(zip(fields, row)) for row in rows])
     else:  # the bench contract is CSV; plain and csv coincide
         _print_csv(fields, rows)
     return 0

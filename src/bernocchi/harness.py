@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import _json_array, _json_string, format_rational
+from .exact import _json_text, format_rational
 from .formulas import FormulaId, bernoulli_sweep, formula_bernoulli_value, is_applicable
 
 __all__ = [
@@ -203,24 +203,5 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def report_to_json(report: VerificationReport) -> str:
     """json.dumps(report_to_dict(report), indent=2), byte for byte, written
-    directly: every key, formula name, verdict and rational is plain ASCII,
-    so only a dissent value can need escaping."""
-    records = []
-    for r in report.records:
-        agreeing = "".join(_json_array((f'"{fid.value}"' for fid in r.agreeing), " " * 6))
-        dissents = (
-            f'{{\n          "formula": "{fid.value}",\n'
-            f'          "value": {_json_string(value)}\n        }}'
-            for fid, value in r.dissenting
-        )
-        dissenting = "".join(_json_array(dissents, " " * 6))
-        records.append(
-            f'{{\n      "n": {r.n},\n      "consensus": "{format_rational(r.consensus)}",\n'
-            f'      "agreeing": {agreeing},\n      "dissenting": {dissenting}\n    }}'
-        )
-    return (
-        f'{{\n  "max_n": {report.max_n},\n  "verdict": "{report.verdict.value}",\n'
-        f'  "summary": {{\n    "agreements": {report.agreements},\n'
-        f'    "dissents": {report.dissents}\n  }},\n'
-        f'  "records": {"".join(_json_array(records, "  "))}\n}}'
-    )
+    without the json module by the writer of every JSON output."""
+    return "".join(_json_text(report_to_dict(report)))

@@ -86,6 +86,10 @@ def test_verify_exit_codes(capsys):
     code, _, _ = run(capsys, "verify", "--max-n", "1", "--strict")
     assert code == 0  # no even index >= 2, hence nothing dissents
 
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--strict")
+    assert code == 2  # a single dissent, the untrusted row's at n = 2, is enough
+    assert "agreements: 20  dissents: 1" in out.splitlines()
+
 
 def test_verify_exits_two_on_a_trusted_dissent(capsys, monkeypatch):
     ratio = formulas.bernoulli_stirling_ratio
@@ -229,7 +233,11 @@ def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt
         assert len(lines) == 3 + 5
         line = next(line for line in lines if line.startswith("n=2 "))
         sep, field = ",", line.split(" dissenting=", 1)[1]
-    assert field.endswith(f"{sep}TANGENT_DOUBLE_14_AS_PRINTED=1/3")
+    # Upper-case hex, as the README documents; unquote alone would accept either case.
+    encoded = 'rows up to 3%3B row 4 requested%2C%0D%0Asee %22log%22 at 100%253B'
+    assert field == (
+        f"STIRLING_RATIO_12=ERROR: ValueError: {encoded}{sep}TANGENT_DOUBLE_14_AS_PRINTED=1/3"
+    )
     assert _separator_dissents(field, sep) == [
         ("STIRLING_RATIO_12", f"ERROR: ValueError: {SEPARATOR_MESSAGE}"),
         ("TANGENT_DOUBLE_14_AS_PRINTED", "1/3"),

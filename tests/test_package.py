@@ -155,6 +155,15 @@ def test_json_output_does_not_load_json(argv):
     assert {m for m in loaded if m.partition(".")[0] == "json"} == set()
 
 
+def test_table_stirling_as_json_does_not_load_fractions():
+    # exact holds the JSON writer and binds Fraction only to format a rational.
+    result, loaded = _importtime("-m", "bernocchi.cli", "table", "stirling", "4", "--format", "json")
+    assert result.returncode == 0
+    assert result.stdout.startswith('{\n  "kind": "stirling",')
+    assert "bernocchi.exact" in loaded
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
+
+
 @pytest.mark.parametrize("statement", ["import bernocchi", "import bernocchi.cli"])
 def test_importing_the_package_loads_no_library_module(statement):
     result, loaded = _importtime("-c", statement)
