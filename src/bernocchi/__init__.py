@@ -47,11 +47,12 @@ def reset_caches() -> None:
     e^x - 1 powers kept by the Stirling series route and the shared
     Stirling rows go back to row 0; the difference table of powers kept by
     the explicit Stirling sum goes back to column 0 of t^0; the derivative
-    route's memo of Genocchi values and its last logistic iterate go back
-    to G_1 and p_0 = x.  No value changes, only the time taken to reach it.
+    route's memo of Genocchi values goes back to G_1, and the one iterate
+    kept by the derivative polynomials (of any rule) to the logistic
+    p_0 = x.  No value changes, only the time taken to reach it.
     """
     from . import derivatives, formulas, stirling
 
     formulas._reset_oracle()
     stirling._reset_memos()
-    derivatives._reset_genocchi()
+    derivatives._reset_iterate()

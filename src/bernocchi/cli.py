@@ -118,6 +118,8 @@ def cmd_compute(args) -> int:
     from .formulas import formula_value
 
     fid = _parse_formula(args.formula)
+    if args.n > fid.ceiling:  # set per row from measured growth (README, "CLI")
+        raise ValueError(f"n must be at most {fid.ceiling} for compute {fid.value}")
     value = format_rational(formula_value(fid, args.n))
     record = {"formula": fid.value, "n": args.n, "value": value}
     if args.format == "plain":

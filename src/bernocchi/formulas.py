@@ -76,6 +76,10 @@ class FormulaId(enum.Enum):
     def even_only(self) -> bool:
         return _REGISTRY[self].even_only
 
+    @property
+    def ceiling(self) -> int:
+        return _REGISTRY[self].ceiling
+
 
 # B_0, B_1, then grown on demand, kept only as the recurrence's integer
 # state: D = lcm of the denominators of the values so far, B_j * D for each
@@ -515,11 +519,15 @@ def euler_at_zero(n: int) -> Fraction:
 class _Formula(NamedTuple):
     """One registry row.  `evaluate(n)` maps the index n to the function's
     own argument; a `genocchi` value is G_n and moves to the Bernoulli scale
-    for comparison.  `sweep(max_n)`, where present, yields (n, B_n) for the
-    row's applicable n <= max_n in one pass, with its state local to the
-    generator; `verify` reads the row through it."""
+    for comparison.  `ceiling` is the largest index `compute` accepts: a
+    cold call there takes about 10 s, or, for a row that reads the shared
+    triangle, holds about 0.2 GB of it (README, "CLI").  `sweep(max_n)`,
+    where present, yields (n, B_n) for the row's applicable n <= max_n in
+    one pass, with its state local to the generator; `verify` reads the row
+    through it."""
 
     evaluate: Callable[[int], Fraction]
+    ceiling: int
     lowest: int = 0
     even_only: bool = False
     trusted: bool = True
@@ -530,32 +538,35 @@ class _Formula(NamedTuple):
 # Each entry calls its function by module-global name, so a wrapper put on
 # that name (a profiler, a test double) is the one called.
 _REGISTRY: dict[FormulaId, _Formula] = {
-    FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n)),
+    FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n), 1800),
     FormulaId.HIGGINS_9: _Formula(
-        lambda n: bernoulli_higgins(n), sweep=lambda max_n: _higgins_sweep(max_n)
+        lambda n: bernoulli_higgins(n), 6000, sweep=lambda max_n: _higgins_sweep(max_n)
     ),
     FormulaId.STIRLING_SINGLE_10: _Formula(
-        lambda n: bernoulli_stirling_single(n), sweep=lambda max_n: _single_sweep(max_n)
+        lambda n: bernoulli_stirling_single(n), 1000, sweep=lambda max_n: _single_sweep(max_n)
     ),
     FormulaId.GOULD_DOUBLE_11: _Formula(
-        lambda n: bernoulli_gould_double(n), sweep=lambda max_n: _gould_sweep(max_n)
+        lambda n: bernoulli_gould_double(n), 2000, sweep=lambda max_n: _gould_sweep(max_n)
     ),
-    FormulaId.STIRLING_RATIO_12: _Formula(lambda n: bernoulli_stirling_ratio(n)),
+    # Reads the triangle to row 2n.
+    FormulaId.STIRLING_RATIO_12: _Formula(lambda n: bernoulli_stirling_ratio(n), 500),
     FormulaId.FAULHABER_RECURSION_13: _Formula(
-        lambda n: bernoulli_faulhaber_recursion(n // 2), lowest=2, even_only=True
+        lambda n: bernoulli_faulhaber_recursion(n // 2), 2000, lowest=2, even_only=True
     ),
     FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: _Formula(
         lambda n: bernoulli_tangent_double_as_printed(n // 2),
+        10000,
         lowest=2,
         even_only=True,
         trusted=False,
     ),
     FormulaId.DOUBLE_STIRLING_15: _Formula(
-        lambda n: bernoulli_double_stirling(n // 2), lowest=2, even_only=True
+        lambda n: bernoulli_double_stirling(n // 2), 1000, lowest=2, even_only=True
     ),
-    FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), lowest=1, genocchi=True),
+    FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), 1000, lowest=1, genocchi=True),
     FormulaId.BRENT_HARVEY_TANGENT: _Formula(
         lambda n: bernoulli_from_tangent(n // 2, tangent_numbers(n // 2)[-1]),
+        4400,
         lowest=2,
         even_only=True,
         sweep=lambda max_n: _tangent_sweep(max_n),

@@ -50,7 +50,7 @@ def test_compute_inapplicable_index(capsys):
 
 def test_compute_rejects_inapplicable_index_before_building_rows(capsys):
     reset_caches()
-    code, out, err = run(capsys, "compute", "DOUBLE_STIRLING_15", "1201")
+    code, out, err = run(capsys, "compute", "DOUBLE_STIRLING_15", "999")
     assert (code, out) == (1, "")
     assert "not applicable" in err
     assert len(stirling._shared_rows) == 1
@@ -386,6 +386,51 @@ def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(
     assert len(calls) == 1
 
 
+# The function each registry row calls by module-global name in formulas;
+# BRENT_HARVEY_TANGENT reads T_k off tangent_numbers(k).
+ROW_FUNCTIONS = {
+    FormulaId.SERIES_ORACLE: "bernoulli_series_oracle",
+    FormulaId.HIGGINS_9: "bernoulli_higgins",
+    FormulaId.STIRLING_SINGLE_10: "bernoulli_stirling_single",
+    FormulaId.GOULD_DOUBLE_11: "bernoulli_gould_double",
+    FormulaId.STIRLING_RATIO_12: "bernoulli_stirling_ratio",
+    FormulaId.FAULHABER_RECURSION_13: "bernoulli_faulhaber_recursion",
+    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: "bernoulli_tangent_double_as_printed",
+    FormulaId.DOUBLE_STIRLING_15: "bernoulli_double_stirling",
+    FormulaId.GENOCCHI_THEOREM_16: "genocchi_theorem",
+    FormulaId.BRENT_HARVEY_TANGENT: "tangent_numbers",
+}
+
+
+@pytest.mark.parametrize("fid", FormulaId, ids=lambda fid: fid.value)
+def test_compute_refuses_an_index_above_the_row_ceiling_before_any_work(capsys, monkeypatch, fid):
+    # CI computes up to 2100 on BRENT_HARVEY_TANGENT, 1000 on HIGGINS_9 and
+    # 400 on FAULHABER_RECURSION_13; a ceiling is even where the row is.
+    assert set(ROW_FUNCTIONS) == set(FormulaId)
+    assert fid.ceiling >= {"BRENT_HARVEY_TANGENT": 2100, "HIGGINS_9": 1000}.get(fid.value, 400)
+    assert formulas.is_applicable(fid, fid.ceiling)
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError(f"{fid.value} ran on a refused index")
+
+    monkeypatch.setattr(formulas, ROW_FUNCTIONS[fid], refuse)
+    message = f"bernocchi: error: n must be at most {fid.ceiling} for compute {fid.value}\n"
+    for n in (fid.ceiling + 1, fid.ceiling + 2, 10**22):
+        for fmt in cli.FORMATS:
+            start = time.perf_counter()
+            assert run(capsys, "compute", fid.value, str(n), "--format", fmt) == (1, "", message)
+            assert time.perf_counter() - start < 1
+
+    def stand_in(*args):
+        calls.append(args)
+        return [0] if fid is FormulaId.BRENT_HARVEY_TANGENT else Fraction(0)
+
+    monkeypatch.setattr(formulas, ROW_FUNCTIONS[fid], stand_in)
+    assert run(capsys, "compute", fid.value, str(fid.ceiling)) == (0, "0\n", "")
+    assert len(calls) == 1  # the ceiling itself is accepted
+
+
 @pytest.mark.parametrize(
     "formula, n, message",
     [
@@ -395,13 +440,18 @@ def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(
     ],
 )
 def test_compute_overflow_exits_one_at_once(capsys, formula, n, message):
+    # compute refuses such an index at the row's ceiling; the library call
+    # has no ceiling and still fails at once on the size that overflows.
     reset_caches()
     start = time.perf_counter()
     code, out, err = run(capsys, "compute", formula, str(n))
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert err.startswith("bernocchi: error: ") and err.count("\n") == 1
-    assert message in err
+    assert err == f"bernocchi: error: n must be at most {FormulaId(formula).ceiling} for compute {formula}\n"
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        formula_value(FormulaId(formula), n)
+    assert time.perf_counter() - start < 1
     assert len(stirling._shared_rows) == 1  # failed before any triangle row was built
 
 

@@ -126,21 +126,31 @@ def cold_genocchi_memo():
     reset_caches()
 
 
+def kept_iterate():
+    """The kept iterate as (rule, k, numerators as a tuple)."""
+    rule, k, q = derivatives._iterate
+    return rule, k, tuple(q)
+
+
+COLD_ITERATE = (LOGISTIC_RULE, 0, X.numerators)
+
+
 def test_genocchi_from_derivatives_raises_on_a_remainder(monkeypatch, cold_genocchi_memo):
-    assert genocchi_from_derivatives(6) == -3  # the memo now holds iterate 5
-    good = DerivativeRule.iterate
+    assert genocchi_from_derivatives(6) == -3  # the kept iterate is now iterate 5
+    kept, values = kept_iterate(), list(derivatives._genocchi_values)
+    good = derivatives._step
 
-    def off_by_one(rule, k, start=X):
-        *low, lead = good(rule, k, start).coefficients
-        return RationalPolynomial([*low, lead + 1])  # adds 2k/2^d to G_k
+    def off_by_one(q, f):
+        *low, lead = good(q, f)
+        return [*low, lead + 1]  # adds 2k/2^d to G_k
 
-    monkeypatch.setattr(DerivativeRule, "iterate", off_by_one)
+    monkeypatch.setattr(derivatives, "_step", off_by_one)
     with pytest.raises(ArithmeticError, match="G_7 "):
         genocchi_from_derivatives(7)
     monkeypatch.undo()
-    # The failed step left the memo as it was.
-    assert len(derivatives._genocchi_values) == 6
-    assert derivatives._genocchi_last == logistic_derivative_polynomial(5)
+    # The failed step left the kept iterate and the values as they were.
+    assert kept_iterate() == kept == (LOGISTIC_RULE, 5, logistic_derivative_polynomial(5).numerators)
+    assert derivatives._genocchi_values == values and len(values) == 6
     assert genocchi_from_derivatives(7) == genocchi_theorem(7)
 
 
@@ -148,11 +158,46 @@ def test_genocchi_memo_grown_in_chunks_after_reset_equals_one_cold_call(cold_gen
     genocchi_from_derivatives(120)
     cold = [genocchi_from_derivatives(k) for k in range(1, 121)]
     reset_caches()
-    assert (derivatives._genocchi_values, derivatives._genocchi_last) == ([1], X)
+    assert (derivatives._genocchi_values, kept_iterate()) == ([1], COLD_ITERATE)
     assert [genocchi_from_derivatives(k) for k in range(1, 41)] == cold[:40]
     assert [genocchi_from_derivatives(k) for k in range(41, 121)] == cold[40:]
     assert derivatives._genocchi_values == cold
-    assert derivatives._genocchi_last == logistic_derivative_polynomial(119)
+    assert kept_iterate() == (LOGISTIC_RULE, 119, logistic_derivative_polynomial(119).numerators)
+
+
+def test_reset_caches_empties_the_kept_iterate(cold_genocchi_memo):
+    half = Fraction(1, 2)
+    derivative_polynomial(9, half)
+    assert kept_iterate() == (reciprocal_expm1_rule(half), 9, derivative_polynomial(9, half).numerators)
+    genocchi_from_derivatives(12)
+    assert kept_iterate()[:2] == (LOGISTIC_RULE, 11)
+    reset_caches()
+    assert (derivatives._genocchi_values, kept_iterate()) == ([1], COLD_ITERATE)
+
+
+KEPT_ALPHAS = (1, 2, Fraction(1, 2), -3)
+
+
+def test_kept_iterate_in_any_order_equals_iteration_from_x_and_the_closed_forms(cold_genocchi_memo):
+    # Each rule in turn at each k (alpha None is the logistic rule), so every
+    # call finds another rule kept and starts again from x, then each rule
+    # through k ascending and descending.
+    ks = [*range(25), *range(24, -1, -1)]
+    interleaved = [(k, alpha) for k in ks for alpha in (*KEPT_ALPHAS, None)]
+    by_rule = [(k, alpha) for alpha in (*KEPT_ALPHAS, None) for k in ks]
+    for k, alpha in interleaved + by_rule:
+        if alpha is None:
+            got = logistic_derivative_polynomial(k)
+            assert got == LOGISTIC_RULE.iterate(k) == logistic_derivative_polynomial_reference(k)
+        else:
+            got = derivative_polynomial(k, alpha)
+            rule = reciprocal_expm1_rule(alpha)
+            assert got == rule.iterate(k) == derivative_polynomial_reference(k, alpha)
+        assert kept_iterate()[1] == k
+    # Genocchi values read off the kept iterate after another rule replaced it.
+    for k in (5, 30, 31, 8):
+        derivative_polynomial(k, 2)
+        assert genocchi_from_derivatives(k) == genocchi_theorem(k)
 
 
 @pytest.mark.parametrize("order", [range(1, 61), range(60, 0, -1)], ids=["ascending", "descending"])

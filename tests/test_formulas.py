@@ -160,15 +160,18 @@ def test_reset_caches_empties_every_memo():
     stirling_via_series(12, 5)
     stirling_explicit(12, 5)
     derivatives.genocchi_from_derivatives(20)
+    derivatives.derivative_polynomial(7, 2)
     assert len(stirling._expm1_rows) > 1
     assert stirling._power_table[0] == 12
     assert len(derivatives._genocchi_values) == 20
+    assert derivatives._iterate[1] == 7
     reset_caches()
     assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
     assert stirling._power_table == (0, [1], [1])
-    assert (derivatives._genocchi_values, derivatives._genocchi_last) == ([1], X)
+    assert derivatives._genocchi_values == [1]
+    assert derivatives._iterate == (derivatives.LOGISTIC_RULE, 0, X.numerators)
 
 
 def test_higgins_examples():
@@ -535,11 +538,11 @@ def test_sweep_yields_the_per_index_value_at_every_applicable_index(fid, limit):
 
 
 def test_registry_row_record_contract():
-    row = formulas._Formula(bernoulli_higgins)
+    row = formulas._Formula(bernoulli_higgins, 6000)
     assert formulas._Formula._fields == (
-        "evaluate", "lowest", "even_only", "trusted", "genocchi", "sweep"
+        "evaluate", "ceiling", "lowest", "even_only", "trusted", "genocchi", "sweep"
     )
-    assert row[1:] == (0, False, True, False, None)  # sweep defaults to None
+    assert row[1:] == (6000, 0, False, True, False, None)  # sweep defaults to None
     with pytest.raises(AttributeError):
         row.lowest = 1
     with pytest.raises(AttributeError):

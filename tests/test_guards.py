@@ -18,7 +18,9 @@ GUARDS = [
     (formulas.genocchi_theorem, (0,), "k must be positive"),
     (formulas.genocchi_from_bernoulli, (0, Fraction(1)), "n must be positive"),
     (formulas.euler_at_zero, (0,), "n must be positive"),
+    (derivatives.derivative_polynomial, (-1, 1), "k must be nonnegative"),
     (derivatives.derivative_polynomial_reference, (-1, 1), "k must be nonnegative"),
+    (derivatives.logistic_derivative_polynomial, (-1,), "k must be nonnegative"),
     (derivatives.logistic_derivative_polynomial_reference, (-1,), "k must be nonnegative"),
     (derivatives.genocchi_from_derivatives, (0,), "k must be positive"),
     (stirling.triangle_build, (-1,), "max_n must be nonnegative"),
