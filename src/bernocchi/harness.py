@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import time
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import _json_text, format_rational
 from .formulas import FormulaId, bernoulli_sweep, formula_bernoulli_value, is_applicable
@@ -76,14 +76,16 @@ class BenchRecord(NamedTuple):
     value: str
 
 
+def _value_or_error(fid: FormulaId, n: int) -> tuple[Fraction | None, str | None]:
+    try:
+        return formula_bernoulli_value(fid, n), None
+    except Exception as exc:  # captured per record, never aborts the sweep
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _evaluate(fid: FormulaId, n: int) -> FormulaEvaluation:
     start = time.perf_counter_ns()
-    try:
-        value = formula_bernoulli_value(fid, n)
-        error = None
-    except Exception as exc:  # captured per record, never aborts the sweep
-        value = None
-        error = f"{type(exc).__name__}: {exc}"
+    value, error = _value_or_error(fid, n)
     return FormulaEvaluation(fid, n, value, time.perf_counter_ns() - start, error)
 
 
@@ -94,60 +96,57 @@ def evaluate_all(n: int) -> list[FormulaEvaluation]:
     return [_evaluate(fid, n) for fid in FormulaId if is_applicable(fid, n)]
 
 
-def _evaluate_swept(n: int, sweeps: dict) -> list[FormulaEvaluation]:
-    """evaluate_all(n), with the value of each row in sweeps read from its
-    sweep.  A sweep that raises is dropped from sweeps, so that index and
-    every later one are evaluated per index, each error on its own record."""
-    evaluations = []
-    for fid in FormulaId:
+def _read_row(fid: FormulaId, max_n: int) -> Iterator[tuple[int, Fraction | None, str | None]]:
+    """(n, value, error) for each applicable n <= max_n of the row, as evaluate_all
+    gives them.  The row is read through its sweep while the sweep yields the
+    next applicable n; from the first index where it raises or yields another
+    n, the row is evaluated per index, each error on its own index."""
+    sweep = bernoulli_sweep(fid, max_n)
+    for n in range(max_n + 1):
         if not is_applicable(fid, n):
             continue
-        if fid in sweeps:
-            start = time.perf_counter_ns()
+        if sweep is not None:
             try:
-                _, value = next(sweeps[fid])
+                swept, value = next(sweep)
             except Exception:  # the per-index call below records the error
-                del sweeps[fid]
-            else:
-                evaluations.append(FormulaEvaluation(fid, n, value, time.perf_counter_ns() - start))
+                swept = None
+            if swept == n:
+                yield n, value, None
                 continue
-        evaluations.append(_evaluate(fid, n))
-    return evaluations
-
-
-def _record_for(n: int, evaluations: Sequence[FormulaEvaluation]) -> IndexRecord:
-    oracle = next(e for e in evaluations if e.formula is FormulaId.SERIES_ORACLE)
-    if not oracle.ok:
-        raise RuntimeError(f"series oracle failed at n={n}: {oracle.error}")
-    consensus = oracle.value
-    agreeing = []
-    dissenting = []
-    for ev in evaluations:  # in FormulaId order, as evaluate_all lists them
-        if ev.ok and ev.value == consensus:
-            agreeing.append(ev.formula)
-        elif ev.ok:
-            dissenting.append((ev.formula, format_rational(ev.value)))
-        else:
-            dissenting.append((ev.formula, f"ERROR: {ev.error}"))
-    return IndexRecord(n, consensus, tuple(agreeing), tuple(dissenting))
+            sweep = None
+        yield (n, *_value_or_error(fid, n))
 
 
 def verify_range(max_n: int) -> VerificationReport:
     """Differential report over indices 0..max_n.
 
-    A row with a sweep is read through it, in one pass over the range; the
-    other rows are evaluated per index, as in evaluate_all.  The report
-    content is deterministic and carries no timing fields.
+    The registry is read one row at a time, in FormulaId order, the oracle
+    first: an index where it fails raises before any other row runs.  Each
+    value is compared with the oracle's as it arrives.  The report content
+    is deterministic and carries no timing fields.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    sweeps = {fid: sweep for fid in FormulaId if (sweep := bernoulli_sweep(fid, max_n)) is not None}
-    records = tuple(_record_for(n, _evaluate_swept(n, sweeps)) for n in range(max_n + 1))
+    consensus = []
+    for n, value, error in _read_row(FormulaId.SERIES_ORACLE, max_n):
+        if error is not None:
+            raise RuntimeError(f"series oracle failed at n={n}: {error}")
+        consensus.append(value)
+    # SERIES_ORACLE is the first FormulaId, and agrees with itself.
+    agreeing = [[FormulaId.SERIES_ORACLE] for _ in consensus]
+    dissenting: list[list[tuple[FormulaId, str]]] = [[] for _ in consensus]
+    for fid in list(FormulaId)[1:]:
+        for n, value, error in _read_row(fid, max_n):
+            if error is not None:
+                dissenting[n].append((fid, f"ERROR: {error}"))
+            elif value == consensus[n]:
+                agreeing[n].append(fid)
+            else:
+                dissenting[n].append((fid, format_rational(value)))
+    records = tuple(map(IndexRecord, range(max_n + 1), consensus, map(tuple, agreeing), map(tuple, dissenting)))
     agreements = sum(len(r.agreeing) for r in records)
     dissents = sum(len(r.dissenting) for r in records)
-    trusted_dissent = any(
-        fid.trusted for r in records for fid, _ in r.dissenting
-    )
+    trusted_dissent = any(fid.trusted for r in records for fid, _ in r.dissenting)
     verdict = Verdict.TRUSTED_DISSENT_FOUND if trusted_dissent else Verdict.ALL_TRUSTED_AGREE
     return VerificationReport(max_n, records, agreements, dissents, verdict)
 

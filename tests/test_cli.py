@@ -124,6 +124,19 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert digest == "040054917728d287f46eb9f0fcc8bc8dbe5514db4f0efe51650e0e8edbe98705"
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("plain", "9fb2be6daca9bcfd722d06bc285c849f8dde3ba63631cb1929f42ce15fcaf763"),
+        ("csv", "6c52ed33a6efe3f17e08dc410a0735dccb87bc9a34c23ca3a8a012c17117e53e"),
+    ],
+)
+def test_verify_plain_and_csv_bytes_are_pinned(capsys, fmt, digest):
+    code, out, _ = run(capsys, "verify", "--max-n", "40", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_json_bytes_are_pinned_at_the_benchmark_size(capsys):
     # The command the verify-sweep workload of perfbench/run.py times.
     code, out, _ = run(capsys, "verify", "--max-n", "100", "--format", "json")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernocchi import formulas, harness
+from bernocchi.exact import format_rational
 from bernocchi.formulas import FormulaId, bernoulli_series_oracle
 from bernocchi.harness import (
     BenchRecord,
@@ -112,8 +113,18 @@ def test_a_raising_formula_becomes_a_dissent_entry(monkeypatch):
 
 
 def test_swept_report_equals_the_per_index_report():
-    records = tuple(harness._record_for(n, evaluate_all(n)) for n in range(121))
-    assert verify_range(120).records == records
+    records = []
+    for n in range(121):
+        evaluations = evaluate_all(n)  # in FormulaId order, the oracle first
+        consensus = evaluations[0].value
+        agreeing = tuple(e.formula for e in evaluations if e.ok and e.value == consensus)
+        dissenting = tuple(
+            (e.formula, format_rational(e.value) if e.ok else f"ERROR: {e.error}")
+            for e in evaluations
+            if not (e.ok and e.value == consensus)
+        )
+        records.append(IndexRecord(n, consensus, agreeing, dissenting))
+    assert verify_range(120).records == tuple(records)
 
 
 def test_a_raising_sweep_hands_its_index_and_the_rest_to_the_per_index_path(monkeypatch):
@@ -137,6 +148,46 @@ def test_a_raising_sweep_hands_its_index_and_the_rest_to_the_per_index_path(monk
     for record in report.records[2:]:  # evaluated per index, one error each
         error = f"ERROR: ZeroDivisionError: boom at {record.n}"
         assert (FormulaId.GOULD_DOUBLE_11, error) in record.dissenting
+
+
+def test_a_sweep_that_skips_an_index_hands_it_and_the_rest_to_the_per_index_path(monkeypatch):
+    sweep = formulas._gould_sweep
+    drawn = []
+
+    def skipping(max_n):
+        for n, value in sweep(max_n):
+            if n != 2:
+                drawn.append(n)
+                yield n, value
+
+    monkeypatch.setattr(formulas, "_gould_sweep", skipping)
+    report = verify_range(6)
+    assert [r.n for r in report.records] == list(range(7))
+    for record in report.records:  # read off the sweep at n = 0, 1, per index from 2 on
+        assert FormulaId.GOULD_DOUBLE_11 in record.agreeing
+    assert report.verdict is Verdict.ALL_TRUSTED_AGREE
+    assert drawn == [0, 1, 3]  # nothing is read from the sweep after the wrong n
+
+
+def test_an_oracle_failing_later_raises_before_any_other_row_runs(monkeypatch):
+    oracle = formulas.bernoulli_series_oracle
+    calls = []
+
+    def breaking(n):
+        if n >= 3:
+            raise ArithmeticError("boom")
+        return oracle(n)
+
+    def counting(n):
+        calls.append(n)
+        return ratio(n)
+
+    ratio = formulas.bernoulli_stirling_ratio
+    monkeypatch.setattr(formulas, "bernoulli_series_oracle", breaking)
+    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", counting)
+    with pytest.raises(RuntimeError, match="series oracle failed at n=3: ArithmeticError: boom"):
+        verify_range(6)
+    assert calls == []
 
 
 def test_a_raising_oracle_aborts_the_sweep(monkeypatch):
