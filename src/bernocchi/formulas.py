@@ -82,23 +82,20 @@ class FormulaId(enum.Enum):
 
 
 # B_0, B_1, then grown on demand, kept only as the recurrence's integer
-# state: D = lcm of the denominators of the values so far, B_j * D for each
-# j, and the last Pascal row C(len(_oracle_scaled), .).  All of it is
-# guarded by _oracle_lock, so concurrent growth stays consistent; B_n is
-# read back as (B_n * D) / D under the same lock, since D rescales the list.
-_oracle_den = 1
-_oracle_scaled: list[int] = []
-_oracle_row: list[int] = []
+# state (D, scaled, row): D = lcm of the denominators of B_0..B_(N-1),
+# scaled[j] = B_j * D for j < N, and the Pascal row C(N, .); B_n is read
+# back as scaled[n] / D.  Guarded by _oracle_lock; each step builds its
+# values apart and replaces the tuple whole, so a step that raises leaves
+# the state as it was.
+_oracle: tuple[int, list[int], list[int]]
 _oracle_lock = threading.Lock()
 
 
 def _reset_oracle() -> None:
     """Forget every oracle value past B_1; D = 2 scales them to 2 and -1."""
-    global _oracle_den, _oracle_scaled, _oracle_row
+    global _oracle
     with _oracle_lock:
-        _oracle_den = 2
-        _oracle_scaled = [2, -1]
-        _oracle_row = [1, 2, 1]
+        _oracle = (2, [2, -1], [1, 2, 1])
 
 
 _reset_oracle()
@@ -112,22 +109,24 @@ def bernoulli_series_oracle(n: int) -> Fraction:
     integers, D being the common denominator so far, and reduces once:
     B_m = -sum / ((m+1) * D).
     """
-    global _oracle_den, _oracle_scaled, _oracle_row
+    global _oracle
     if n < 0:
         raise ValueError("n must be nonnegative")
     with _oracle_lock:
-        while len(_oracle_scaled) <= n:
-            m = len(_oracle_scaled)
-            _oracle_row = [1, *map(add, _oracle_row, _oracle_row[1:]), 1]
-            acc = sum(c * s for c, s in zip(_oracle_row, _oracle_scaled) if s)
-            value = Fraction(-acc, (m + 1) * _oracle_den)
+        common, scaled, row = _oracle
+        while len(scaled) <= n:
+            m = len(scaled)
+            row = [1, *map(add, row, row[1:]), 1]
+            acc = sum(c * s for c, s in zip(row, scaled) if s)
+            value = Fraction(-acc, (m + 1) * common)
             den = value.denominator
-            if _oracle_den % den:
-                factor = den // gcd(_oracle_den, den)
-                _oracle_den *= factor
-                _oracle_scaled = [s * factor for s in _oracle_scaled]
-            _oracle_scaled.append(value.numerator * (_oracle_den // den))
-        return Fraction(_oracle_scaled[n], _oracle_den)
+            if common % den:
+                factor = den // gcd(common, den)
+                common *= factor
+                scaled = [s * factor for s in scaled]
+            scaled = [*scaled, value.numerator * (common // den)]
+            _oracle = (common, scaled, row)
+        return Fraction(scaled[n], common)
 
 
 def bernoulli_higgins(n: int) -> Fraction:
@@ -166,14 +165,15 @@ def _higgins_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
 
         e_j(n) = e_j(n-1) (L_n/L_(n-1)) + C(n,j) (L_n/(n+1)),  e_n(n) = L_n/(n+1).
 
-    Three lists carry j^n, C(n,j) and e_j(n) from one index to the next; the
-    e_j are rescaled only when L_n grows, that is when n+1 is a prime power.
-    Per index that is one product by the small j per power, one Pascal step
-    per binomial and one product per e_j, then the sum of
-    (-1)^j j^n e_j(n), reduced once over L_n.  Reads no shared input.
+    Three lists carry (-1)^j j^n, C(n,j) and e_j(n) from one index to the
+    next; the e_j are rescaled only when L_n grows, that is when n+1 is a
+    prime power.  Per index that is one product by the small j per power
+    (its sign stays), one Pascal step per binomial and one product per e_j,
+    then the sum of (-1)^j j^n e_j(n), reduced once over L_n.  Reads no
+    shared input.
     """
     common = 1  # L_(n-1), then L_n
-    powers: list[int] = []  # j^n
+    powers: list[int] = []  # (-1)^j j^n
     row: list[int] = []  # C(n, j)
     scaled: list[int] = []  # e_j(n)
     for n in range(max_n + 1):
@@ -191,14 +191,11 @@ def _higgins_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
             row[j] = entry + left
             left = entry
             scaled[j] += row[j] * share
-            if j & 1:
-                total -= powers[j] * scaled[j]
-            else:
-                total += powers[j] * scaled[j]
-        powers.append(n**n)
+            total += powers[j] * scaled[j]
+        powers.append((-n) ** n)
         row.append(1)
         scaled.append(share)
-        total += (-1) ** n * powers[n] * share
+        total += powers[n] * share
         yield n, Fraction(total, common)
 
 
@@ -608,7 +605,9 @@ def bernoulli_sweep(formula: FormulaId, max_n: int) -> Iterator[tuple[int, Fract
 
     Each pair equals (n, formula_bernoulli_value(formula, n)).  The
     generator keeps its state to itself; nothing is computed until it is
-    first advanced.
+    first advanced.  A negative max_n raises at the call, for every row.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     sweep = _REGISTRY[formula].sweep
     return None if sweep is None else sweep(max_n)

@@ -148,7 +148,7 @@ def test_oracle_grown_in_chunks_after_reset_equals_one_cold_call():
     bernoulli_series_oracle(300)
     cold = [bernoulli_series_oracle(n) for n in range(301)]
     reset_caches()
-    assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
+    assert formulas._oracle == (2, [2, -1], [1, 2, 1])
     for n in (0, 37, 38, 300):
         bernoulli_series_oracle(n)
     assert [bernoulli_series_oracle(n) for n in range(301)] == cold
@@ -166,12 +166,55 @@ def test_reset_caches_empties_every_memo():
     assert len(derivatives._genocchi_values) == 20
     assert derivatives._iterate[1] == 7
     reset_caches()
-    assert (formulas._oracle_den, formulas._oracle_scaled) == (2, [2, -1])
+    assert formulas._oracle == (2, [2, -1], [1, 2, 1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
     assert stirling._power_table == (0, [1], [1])
     assert derivatives._genocchi_values == [1]
     assert derivatives._iterate == (derivatives.LOGISTIC_RULE, 0, X.numerators)
+
+
+def raising_on_call(function, number):
+    """function, except that call `number` raises MemoryError."""
+    calls = 0
+
+    def wrapped(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == number:
+            raise MemoryError
+        return function(*args, **kwargs)
+
+    return wrapped
+
+
+# (module, name patched to fail, value at index n read through the memo)
+INTERRUPTED_MEMOS = [
+    pytest.param(formulas, "Fraction", bernoulli_series_oracle, id="oracle-sum"),
+    pytest.param(formulas, "gcd", bernoulli_series_oracle, id="oracle-rescale"),
+    pytest.param(stirling, "_next_row", lambda n: shared_triangle(n).row(n), id="shared-triangle"),
+    pytest.param(
+        stirling,
+        "comb",
+        lambda n: [stirling_via_series(n, k) for k in range(1, n + 1)],
+        id="series-rows",
+    ),
+    pytest.param(stirling, "accumulate", lambda m: stirling_explicit(40, m), id="explicit-table"),
+]
+
+
+@pytest.mark.parametrize("number", [1, 3])
+@pytest.mark.parametrize("module, name, value", INTERRUPTED_MEMOS)
+def test_a_step_that_raises_leaves_the_memo_as_it_was(monkeypatch, module, name, value, number):
+    reset_caches()
+    cold = [value(n) for n in range(41)]
+    reset_caches()
+    value(3)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, raising_on_call(getattr(module, name), number))
+        with pytest.raises(MemoryError):
+            value(12)
+    assert [value(n) for n in range(41)] == cold
 
 
 def test_higgins_examples():

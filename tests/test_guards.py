@@ -30,6 +30,8 @@ GUARDS = [
     (stirling.stirling_enumerate, (0, -1), "indices must be nonnegative"),
     (harness.evaluate_all, (-1,), "n must be nonnegative"),
     (harness.verify_range, (-1,), "max_n must be nonnegative"),
+    # Raised at the call, before the sweep is first advanced, for every row.
+    *((formulas.bernoulli_sweep, (fid, -1), "max_n must be nonnegative") for fid in formulas.FormulaId),
 ]
 
 
