@@ -12,7 +12,7 @@ import importlib as _importlib
 
 __version__ = "0.1.0"
 
-_LIBRARY = ("exact", "polynomial", "stirling", "formulas", "derivatives", "harness")
+_LIBRARY = ("exact", "polynomial", "stirling", "tangent", "formulas", "derivatives", "harness")
 
 
 def _load_library() -> None:

@@ -199,18 +199,14 @@ def cmd_table(args) -> int:
                 print(",".join(str(v) for v in row))
         return 0
 
-    from .exact import format_rational
-    from .formulas import B0, B1, FormulaId, bernoulli_sweep, genocchi_theorem
-
     if kind == "bernoulli":
-        # B_2k from the tangent row's sweep, one pass of tangent numbers;
-        # B_n = 0 at odd n >= 3, since x/(e^x - 1) + x/2 is even.
-        evens = dict(bernoulli_sweep(FormulaId.BRENT_HARVEY_TANGENT, args.max_n))
-        entries = [(0, B0), (1, B1)][: args.max_n + 1]
-        entries += [(n, evens.get(n, 0)) for n in range(2, args.max_n + 1)]
+        rows = _bernoulli_rows(args.max_n)
     else:
+        from .exact import format_rational
+        from .formulas import genocchi_theorem
+
         entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
-    rows = ((n, format_rational(v)) for n, v in entries)
+        rows = ((n, format_rational(v)) for n, v in entries)
     if args.format == "json":
         _print_json({"kind": kind, "rows": ({"n": n, "value": v} for n, v in rows)})
     elif args.format == "csv":
@@ -219,6 +215,24 @@ def cmd_table(args) -> int:
         for n, v in rows:
             print(f"{n} {v}")
     return 0
+
+
+def _bernoulli_rows(max_n: int):
+    """(n, text of B_n) for n = 0..max_n, in integers alone: the constants
+    B_0 = 1 and B_1 = -1/2, B_n at even n >= 2 from one pass of the tangent
+    numbers, each reduced once as it is written, and 0 at odd n >= 3, since
+    x/(e^x - 1) + x/2 is even."""
+    from math import gcd
+
+    from .exact import _ratio_text
+    from .tangent import even_bernoulli_terms
+
+    yield from [(0, "1"), (1, "-1/2")][: max_n + 1]
+    for n, numerator, denominator in even_bernoulli_terms(max_n):
+        divisor = gcd(numerator, denominator)
+        yield n, _ratio_text(numerator // divisor, denominator // divisor)
+        if n < max_n:
+            yield n + 1, "0"
 
 
 def _bench_indices(max_n: int) -> list[int]:

@@ -4,12 +4,13 @@ Integers are plain Python ``int`` (unbounded, exact), and integer powers
 are plain ``**``, which gives ``0 ** 0 == 1``, the convention the formulas
 rely on.  Rationals are ``fractions.Fraction``, which is always stored
 reduced with a positive denominator, so structural equality is
-mathematical equality.  Every output writes a rational as "p" or "p/q".
+mathematical equality.  Every output writes a rational as "p" or "p/q",
+through the one rule ``_ratio_text``; this module reads only the
+numerator and denominator of a value and never imports ``fractions``.
 
 Every JSON output of the CLI is ``json.dumps(value, indent=2)``, byte for
 byte, written from its value by the one private writer ``_json_text``
-without ``json`` or ``fractions`` loaded unless a string needs escaping or
-a rational is formatted.
+without ``json`` loaded unless a string needs escaping.
 """
 from __future__ import annotations
 
@@ -24,9 +25,13 @@ __all__ = ["format_rational"]
 
 def format_rational(value: Fraction | int) -> str:
     """The text of str(Fraction(value)): "p/q" (q > 0, gcd(p,q)=1), or "p" when q == 1."""
-    import fractions  # on first use: table stirling never loads it
+    return _ratio_text(value.numerator, value.denominator)
 
-    return str(fractions.Fraction(value))
+
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """The text of the reduced ratio numerator/denominator (denominator > 0),
+    as str(Fraction) writes it: "p/q", or "p" when q == 1."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def _json_string(text: str) -> str:

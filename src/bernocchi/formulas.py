@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .polynomial import RationalPolynomial, interpolate
 from .stirling import shared_triangle
+from .tangent import _bernoulli_terms, even_bernoulli_terms, tangent_numbers
 
 __all__ = [
     "FormulaId",
@@ -456,40 +457,17 @@ def genocchi_theorem(k: int) -> Fraction:
     return Fraction(value)
 
 
-def tangent_numbers(k: int) -> list[int]:
-    """T_0..T_k, where tan x = sum_j T_j x^(2j-1)/(2j-1)! (so T_0 = 0, T_1 = 1).
-
-    The in-place integer recurrence of R. P. Brent and D. Harvey, "Fast
-    computation of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286):
-    start from T_j = (j-1)! and, for i = 2..k, set
-    T_j = (j-i) T_{j-1} + (j-i+2) T_j for j = i..k in increasing order.  Each
-    of the ~k^2/2 steps multiplies big integers by small ones only.  Reads
-    neither the Stirling triangle nor the oracle, and keeps no memo.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    tangents = [0, 1][: k + 1]
-    for j in range(2, k + 1):
-        tangents.append((j - 1) * tangents[j - 1])
-    for i in range(2, k + 1):
-        for j in range(i, k + 1):
-            tangents[j] = (j - i) * tangents[j - 1] + (j - i + 2) * tangents[j]
-    return tangents
-
-
 def _tangent_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:
     """(n, B_n) for the even n = 2..max_n, from one `tangent_numbers(max_n // 2)` call."""
-    tangents = tangent_numbers(max_n // 2)
-    for k in range(1, max_n // 2 + 1):
-        yield 2 * k, bernoulli_from_tangent(k, tangents[k])
+    for n, numerator, denominator in even_bernoulli_terms(max_n):
+        yield n, Fraction(numerator, denominator)
 
 
 def bernoulli_from_tangent(k: int, tangent: int) -> Fraction:
     """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for k >= 1, T_k the k-th tangent number."""
     if k < 1:
         raise ValueError("k must be positive")
-    power = 1 << (2 * k)  # 4^k
-    return Fraction((-1) ** (k - 1) * 2 * k * tangent, power * (power - 1))
+    return Fraction(*_bernoulli_terms(k, tangent))
 
 
 def genocchi_from_bernoulli(n: int, b: Fraction) -> Fraction:

@@ -118,8 +118,10 @@ def shared_triangle(max_n: int) -> StirlingTriangle:
 # The forward-difference table of t^k for the last exponent k asked for,
 # as (k, tops, diagonal): tops[j] = Δ^j t^k at 0 and diagonal[j] = Δ^j t^k
 # at M - j for j = 0..M, where M is the last column built.  Guarded by
-# _power_lock and replaced whole after each column, so a step that raises
-# leaves the table as it was.
+# _power_lock.  Each column is appended to tops in place and the tuple is
+# then replaced whole, so len(diagonal) counts the committed columns: a step
+# that raises leaves diagonal as it was, and a tops entry appended by a step
+# that never committed is dropped on the next call.
 _power_table: tuple[int, list[int], list[int]] = (0, [1], [1])
 _power_lock = threading.Lock()
 
@@ -137,7 +139,9 @@ def _power_difference(k: int, m: int) -> int:
         exponent, tops, diagonal = _power_table
         if exponent != k:
             tops, diagonal = [0**k], [0**k]
-        for top in range(len(tops), m + 1):
+        elif len(tops) > len(diagonal):  # a column appended to tops but never committed
+            del tops[len(diagonal):]
+        for top in range(len(diagonal), m + 1):
             diagonal = list(accumulate(diagonal, sub, initial=top**k))
             tops.append(diagonal[-1])
             _power_table = (k, tops, diagonal)

@@ -171,6 +171,52 @@ BENCH_64 = ("bench", "--max-n", "64", "--reps", "1", "--deterministic")
             "9774743be824a0d965f52ab905c3f491a85babfbb9378631aba28f1b8eb02428",
             id="bernoulli-json",
         ),
+        # The constant rows B_0 and B_1 alone, and a table that ends on an odd zero.
+        pytest.param(
+            ("table", "bernoulli", "0", "--format", "plain"),
+            "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+            id="bernoulli-0-plain",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "0", "--format", "csv"),
+            "a5605f9189aa3dffabd475ddaf043742e1da7a9fa7e45f3ce1bda8d78de74776",
+            id="bernoulli-0-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "0", "--format", "json"),
+            "8303a53b6a68e3eb96475caa18c8ca02d48a5d2a1e98f5083548afbee79c410d",
+            id="bernoulli-0-json",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "1", "--format", "plain"),
+            "a70bf7b37a9982fdb05c6d7feabdbbd2116154845a48ec07059cec0c9b8426c1",
+            id="bernoulli-1-plain",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "1", "--format", "csv"),
+            "58149fe9509fa464a1782e5f14a4b730e377ba1e6f32e4de37cd7441eb0e810a",
+            id="bernoulli-1-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "1", "--format", "json"),
+            "11845daf9347d6296c2639f9331675b1899d073ce25a094e944707bbd4fe6e2a",
+            id="bernoulli-1-json",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "3", "--format", "plain"),
+            "c6bb2ca59cf0277f5f735b7f3d086d06ce5fa374c9a951e2890243f82d9cca8e",
+            id="bernoulli-3-plain",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "3", "--format", "csv"),
+            "7ed7aa9796957269a46d059b8d57e53a4d52feca0a2fc4115814bf2c5d0daeef",
+            id="bernoulli-3-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "3", "--format", "json"),
+            "ef5634639be0c5d577afe438d8bf27e0d0f5c82cca53f2834b1f75c0e3319040",
+            id="bernoulli-3-json",
+        ),
         pytest.param(
             ("table", "genocchi", "120", "--format", "plain"),
             "7ce6067f54eed23a0f22dda8b9b5eec6d3a1fb734001d57a1009f745c93b2f1e",
@@ -317,7 +363,7 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
         # CI prints bernoulli to 2100 and genocchi to 600, the benchmark
         # bernoulli to 500; the tests print stirling to 120 at most.
         pytest.param(
-            "bernoulli", "bernocchi.formulas.bernoulli_sweep", lambda formula, max_n: iter(()), 2100,
+            "bernoulli", "bernocchi.tangent.even_bernoulli_terms", lambda max_n: iter(()), 2100,
             id="bernoulli",
         ),
         pytest.param(

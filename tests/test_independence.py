@@ -11,13 +11,13 @@ import sys
 
 import pytest
 
-from bernocchi import derivatives, formulas, polynomial, reset_caches, stirling
+from bernocchi import derivatives, formulas, polynomial, reset_caches, stirling, tangent
 from bernocchi.formulas import FormulaId
 
 SHARED_INPUTS = {
     "bernoulli_series_oracle": formulas,
     "shared_triangle": stirling,
-    "tangent_numbers": formulas,
+    "tangent_numbers": tangent,
     "interpolate": polynomial,
     "_expm1_row": stirling,
     "_power_difference": stirling,

@@ -71,7 +71,7 @@ def test_verify_as_json_does_not_load_json():
     assert {m for m in loaded if m.partition(".")[0] == "json"} == set()
 
 
-LIBRARY_MODULES = ("exact", "polynomial", "stirling", "formulas", "derivatives", "harness")
+LIBRARY_MODULES = ("exact", "polynomial", "stirling", "tangent", "formulas", "derivatives", "harness")
 
 
 def test_package_reexports_each_library_module_all():
@@ -125,7 +125,7 @@ def test_help_and_usage_errors_load_no_library_module(argv, code):
     "argv, runs",
     [
         (("compute", "GOULD_DOUBLE_11", "40"), "bernocchi.formulas"),
-        (("table", "bernoulli", "10"), "bernocchi.formulas"),
+        (("table", "bernoulli", "10"), "bernocchi.tangent"),
         (("cache", "path"), "bernocchi.cache"),
     ],
     ids=["compute", "table-bernoulli", "cache-path"],
@@ -155,13 +155,39 @@ def test_json_output_does_not_load_json(argv):
     assert {m for m in loaded if m.partition(".")[0] == "json"} == set()
 
 
-def test_table_stirling_as_json_does_not_load_fractions():
-    # exact holds the JSON writer and binds Fraction only to format a rational.
-    result, loaded = _importtime("-m", "bernocchi.cli", "table", "stirling", "4", "--format", "json")
+RATIONALS = {"fractions", "decimal", "numbers"}
+FORMULA_MODULES = {"bernocchi.formulas", "bernocchi.stirling", "bernocchi.polynomial"}
+
+
+@pytest.mark.parametrize(
+    "argv, head, unloaded",
+    [
+        pytest.param(
+            ("table", "stirling", "4", "--format", "json"), '{\n  "kind": "stirling",', RATIONALS,
+            id="stirling-json",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "10", "--format", "plain"), "0 1\n", RATIONALS | FORMULA_MODULES,
+            id="bernoulli-plain",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "10", "--format", "csv"), "n,value\n", RATIONALS | FORMULA_MODULES,
+            id="bernoulli-csv",
+        ),
+        pytest.param(
+            ("table", "bernoulli", "10", "--format", "json"), '{\n  "kind": "bernoulli",',
+            RATIONALS | FORMULA_MODULES, id="bernoulli-json",
+        ),
+    ],
+)
+def test_table_does_not_load_fractions(argv, head, unloaded):
+    # exact holds the JSON writer and the text of a ratio and never loads
+    # fractions; table bernoulli reduces the tangent route's integer terms.
+    result, loaded = _importtime("-m", "bernocchi.cli", *argv)
     assert result.returncode == 0
-    assert result.stdout.startswith('{\n  "kind": "stirling",')
+    assert result.stdout.startswith(head)
     assert "bernocchi.exact" in loaded
-    assert loaded & {"fractions", "decimal", "numbers"} == set()
+    assert loaded & unloaded == set()
 
 
 @pytest.mark.parametrize("statement", ["import bernocchi", "import bernocchi.cli"])
