@@ -367,7 +367,9 @@ def bernoulli_faulhaber_recursion(k: int) -> Fraction:
 
     The tail, over the even m = 2..2k-2, is summed in integers: with the
     table's integer numerators a_m over its denominator e and
-    L = lcm(3, 5, .., 2k-1), it is sum_m a_m (L/(m+1)), divided once by L*e.
+    L = lcm(3, 5, .., 2k-1), it is t/(L*e) with t = sum_m a_m (L/(m+1)).
+    With c = L*e, the whole value is one integer over one denominator,
+    ((2k-1) c - 4k(2k+1) t) / (2(2k+1) c), reduced once.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -375,7 +377,7 @@ def bernoulli_faulhaber_recursion(k: int) -> Fraction:
     common = lcm(*range(3, 2 * k, 2))
     tail = sum(table.numerators[m] * (common // (m + 1)) for m in range(2, 2 * k, 2))
     common *= table.denominator
-    return Fraction(1, 2) - Fraction(1, 2 * k + 1) - Fraction(2 * k * tail, common)
+    return Fraction((2 * k - 1) * common - 4 * k * (2 * k + 1) * tail, 2 * (2 * k + 1) * common)
 
 
 def bernoulli_tangent_double_as_printed(k: int) -> Fraction:
@@ -511,7 +513,9 @@ class _Formula(NamedTuple):
 
 
 # Each entry calls its function by module-global name, so a wrapper put on
-# that name (a profiler, a test double) is the one called.
+# that name is the one called: the tracer in perfbench/traced.py times each
+# kernel that way.  Tests plant a row's value by replacing its whole entry,
+# sweep included (the replace_row fixture in tests/conftest.py).
 _REGISTRY: dict[FormulaId, _Formula] = {
     FormulaId.SERIES_ORACLE: _Formula(lambda n: bernoulli_series_oracle(n), 1800),
     FormulaId.HIGGINS_9: _Formula(

@@ -91,15 +91,26 @@ def test_verify_exit_codes(capsys):
     assert "agreements: 20  dissents: 1" in out.splitlines()
 
 
-def test_verify_exits_two_on_a_trusted_dissent(capsys, monkeypatch):
+def test_verify_exits_two_on_a_trusted_dissent(capsys, replace_row):
     ratio = formulas.bernoulli_stirling_ratio
-    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", lambda n: ratio(n) + (n == 3))
+    replace_row(FormulaId.STIRLING_RATIO_12, lambda n: ratio(n) + (n == 3))
     report = verify_range(4)
     assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
     assert report.records[3].dissenting == ((FormulaId.STIRLING_RATIO_12, "1"),)
     code, out, _ = run(capsys, "verify", "--max-n", "4")  # no --strict
     assert code == 2
     assert "TRUSTED_DISSENT_FOUND" in out
+
+
+def test_a_value_planted_in_a_swept_row_reaches_verify_and_compute(capsys, replace_row):
+    higgins = formulas.bernoulli_higgins
+    replace_row(FormulaId.HIGGINS_9, lambda n: Fraction(1, 7) if n == 5 else higgins(n))
+    assert dict(formulas.bernoulli_sweep(FormulaId.HIGGINS_9, 8))[5] == Fraction(1, 7)
+    report = verify_range(8)  # reads HIGGINS_9 through its sweep
+    dissents = [(r.n, d) for r in report.records for d in r.dissenting if d[0] is FormulaId.HIGGINS_9]
+    assert dissents == [(5, (FormulaId.HIGGINS_9, "1/7"))]
+    assert run(capsys, "verify", "--max-n", "8")[0] == 2  # no --strict
+    assert run(capsys, "compute", "HIGGINS_9", "5") == (0, "1/7\n", "")
 
 
 def test_verify_rejects_negative_max(capsys):
@@ -274,12 +285,12 @@ def _separator_dissents(field, sep):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plain"])
-def test_verify_encodes_the_list_separator_in_a_dissent(capsys, monkeypatch, fmt):
+def test_verify_encodes_the_list_separator_in_a_dissent(capsys, replace_row, fmt):
     # The message holds all six encoded characters: % , ; " CR LF.
     def failing(n):
         raise ValueError(SEPARATOR_MESSAGE)
 
-    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", failing)
+    replace_row(FormulaId.STIRLING_RATIO_12, failing)
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", fmt)
     assert code == 2
     lines = out.splitlines()
@@ -307,13 +318,13 @@ NEWLINE_MESSAGE = "first line\nn=2 consensus=0 agreeing= dissenting="
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plain"])
-def test_verify_encodes_a_line_break_in_a_dissent(capsys, monkeypatch, fmt):
+def test_verify_encodes_a_line_break_in_a_dissent(capsys, replace_row, fmt):
     messages = [NEWLINE_MESSAGE.replace("\n", "\r\n"), NEWLINE_MESSAGE]  # at n = 0 and n = 1
 
     def failing(n):
         raise ValueError(messages[n])
 
-    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", failing)
+    replace_row(FormulaId.STIRLING_RATIO_12, failing)
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--format", fmt)
     assert code == 2
     lines = out.splitlines()  # splits at CR as well as LF
@@ -445,35 +456,18 @@ def test_cache_build_and_bench_refuse_a_size_above_the_ceiling_before_any_work(
     assert len(calls) == 1
 
 
-# The function each registry row calls by module-global name in formulas;
-# BRENT_HARVEY_TANGENT reads T_k off tangent_numbers(k).
-ROW_FUNCTIONS = {
-    FormulaId.SERIES_ORACLE: "bernoulli_series_oracle",
-    FormulaId.HIGGINS_9: "bernoulli_higgins",
-    FormulaId.STIRLING_SINGLE_10: "bernoulli_stirling_single",
-    FormulaId.GOULD_DOUBLE_11: "bernoulli_gould_double",
-    FormulaId.STIRLING_RATIO_12: "bernoulli_stirling_ratio",
-    FormulaId.FAULHABER_RECURSION_13: "bernoulli_faulhaber_recursion",
-    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: "bernoulli_tangent_double_as_printed",
-    FormulaId.DOUBLE_STIRLING_15: "bernoulli_double_stirling",
-    FormulaId.GENOCCHI_THEOREM_16: "genocchi_theorem",
-    FormulaId.BRENT_HARVEY_TANGENT: "tangent_numbers",
-}
-
-
 @pytest.mark.parametrize("fid", FormulaId, ids=lambda fid: fid.value)
-def test_compute_refuses_an_index_above_the_row_ceiling_before_any_work(capsys, monkeypatch, fid):
+def test_compute_refuses_an_index_above_the_row_ceiling_before_any_work(capsys, replace_row, fid):
     # CI computes up to 2100 on BRENT_HARVEY_TANGENT, 1000 on HIGGINS_9 and
     # 400 on FAULHABER_RECURSION_13; a ceiling is even where the row is.
-    assert set(ROW_FUNCTIONS) == set(FormulaId)
     assert fid.ceiling >= {"BRENT_HARVEY_TANGENT": 2100, "HIGGINS_9": 1000}.get(fid.value, 400)
     assert formulas.is_applicable(fid, fid.ceiling)
     calls = []
 
-    def refuse(*args):
+    def refuse(n):
         raise AssertionError(f"{fid.value} ran on a refused index")
 
-    monkeypatch.setattr(formulas, ROW_FUNCTIONS[fid], refuse)
+    replace_row(fid, refuse)
     message = f"bernocchi: error: n must be at most {fid.ceiling} for compute {fid.value}\n"
     for n in (fid.ceiling + 1, fid.ceiling + 2, 10**22):
         for fmt in cli.FORMATS:
@@ -481,13 +475,13 @@ def test_compute_refuses_an_index_above_the_row_ceiling_before_any_work(capsys, 
             assert run(capsys, "compute", fid.value, str(n), "--format", fmt) == (1, "", message)
             assert time.perf_counter() - start < 1
 
-    def stand_in(*args):
-        calls.append(args)
-        return [0] if fid is FormulaId.BRENT_HARVEY_TANGENT else Fraction(0)
+    def stand_in(n):
+        calls.append(n)
+        return Fraction(0)
 
-    monkeypatch.setattr(formulas, ROW_FUNCTIONS[fid], stand_in)
+    replace_row(fid, stand_in)
     assert run(capsys, "compute", fid.value, str(fid.ceiling)) == (0, "0\n", "")
-    assert len(calls) == 1  # the ceiling itself is accepted
+    assert calls == [fid.ceiling]  # the ceiling itself is accepted
 
 
 @pytest.mark.parametrize(

@@ -99,11 +99,11 @@ def test_dissent_value_at_two_and_four():
     )
 
 
-def test_a_raising_formula_becomes_a_dissent_entry(monkeypatch):
+def test_a_raising_formula_becomes_a_dissent_entry(replace_row):
     def boom(n):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", boom)
+    replace_row(FormulaId.STIRLING_RATIO_12, boom)
     report = verify_range(4)
     assert report.verdict is Verdict.TRUSTED_DISSENT_FOUND
     assert [r.n for r in report.records] == [0, 1, 2, 3, 4]  # the sweep goes on
@@ -169,32 +169,30 @@ def test_a_sweep_that_skips_an_index_hands_it_and_the_rest_to_the_per_index_path
     assert drawn == [0, 1, 3]  # nothing is read from the sweep after the wrong n
 
 
-def test_an_oracle_failing_later_raises_before_any_other_row_runs(monkeypatch):
-    oracle = formulas.bernoulli_series_oracle
+def test_an_oracle_failing_later_raises_before_any_other_row_runs(replace_row):
     calls = []
 
     def breaking(n):
         if n >= 3:
             raise ArithmeticError("boom")
-        return oracle(n)
+        return bernoulli_series_oracle(n)
 
     def counting(n):
         calls.append(n)
-        return ratio(n)
+        return formulas.bernoulli_stirling_ratio(n)
 
-    ratio = formulas.bernoulli_stirling_ratio
-    monkeypatch.setattr(formulas, "bernoulli_series_oracle", breaking)
-    monkeypatch.setattr(formulas, "bernoulli_stirling_ratio", counting)
+    replace_row(FormulaId.SERIES_ORACLE, breaking)
+    replace_row(FormulaId.STIRLING_RATIO_12, counting)
     with pytest.raises(RuntimeError, match="series oracle failed at n=3: ArithmeticError: boom"):
         verify_range(6)
     assert calls == []
 
 
-def test_a_raising_oracle_aborts_the_sweep(monkeypatch):
+def test_a_raising_oracle_aborts_the_sweep(replace_row):
     def boom(n):
         raise ArithmeticError("boom")
 
-    monkeypatch.setattr(formulas, "bernoulli_series_oracle", boom)
+    replace_row(FormulaId.SERIES_ORACLE, boom)
     with pytest.raises(RuntimeError, match="series oracle failed at n=0"):
         verify_range(4)
 
@@ -290,9 +288,9 @@ def test_bench_digests_match_consensus():
         )
 
 
-def test_bench_rejects_a_varying_value(monkeypatch):
+def test_bench_rejects_a_varying_value(replace_row):
     calls = iter(range(100))
-    monkeypatch.setattr(formulas, "bernoulli_higgins", lambda n: Fraction(next(calls)))
+    replace_row(FormulaId.HIGGINS_9, lambda n: Fraction(next(calls)))
     with pytest.raises(RuntimeError, match="varying"):
         bench([FormulaId.HIGGINS_9], [8], 2)
 

@@ -44,13 +44,14 @@ def test_every_formula_has_a_row():
     assert set(ROUTE_INPUTS) == {*FormulaId, GENOCCHI_DERIVATIVES}
 
 
-@pytest.mark.parametrize("route", ROUTE_INPUTS, ids=lambda r: getattr(r, "value", r))
-def test_route_reads_only_its_declared_shared_inputs(monkeypatch, route):
-    touched = set()
+@pytest.fixture
+def touched(monkeypatch):
+    """The names in SHARED_INPUTS called from here on, the caches reset first."""
+    names = set()
 
     def recording(name, function):
         def wrapper(*args, **kwargs):
-            touched.add(name)
+            names.add(name)
             return function(*args, **kwargs)
 
         return wrapper
@@ -62,6 +63,11 @@ def test_route_reads_only_its_declared_shared_inputs(monkeypatch, route):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, recording(name, original))
+    return names
+
+
+@pytest.mark.parametrize("route", ROUTE_INPUTS, ids=lambda r: getattr(r, "value", r))
+def test_route_reads_only_its_declared_shared_inputs(touched, route):
     for n in (1, 2, 7, 12, 20):
         if route == GENOCCHI_DERIVATIVES:
             derivatives.genocchi_from_derivatives(n)
@@ -74,22 +80,6 @@ SWEPT_ROUTES = [fid for fid in FormulaId if formulas.bernoulli_sweep(fid, 0) is 
 
 
 @pytest.mark.parametrize("route", SWEPT_ROUTES, ids=lambda r: r.value)
-def test_sweep_reads_only_its_declared_shared_inputs(monkeypatch, route):
-    touched = set()
-
-    def recording(name, function):
-        def wrapper(*args, **kwargs):
-            touched.add(name)
-            return function(*args, **kwargs)
-
-        return wrapper
-
-    reset_caches()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bernocchi"]
-    for name, home in SHARED_INPUTS.items():
-        original = getattr(home, name)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, recording(name, original))
+def test_sweep_reads_only_its_declared_shared_inputs(touched, route):
     assert len(list(formulas.bernoulli_sweep(route, 20))) > 1
     assert touched == ROUTE_INPUTS[route]
