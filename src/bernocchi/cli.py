@@ -12,7 +12,8 @@ import os
 import sys
 
 # Each command imports the library names it runs, so that --help, a usage
-# error and every command load only the modules they need (README, "Start-up").
+# error and every command load only the modules they need (README,
+# "Start-up and exit").
 
 FORMATS = ("plain", "csv", "json")
 BENCH_HEADER = "formula,n,reps,median_ns,value"
@@ -304,6 +305,8 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        if sys.stdout is None:  # started with stdout closed (`>&-`): fail before any work
+            raise OSError("standard output is closed")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -326,7 +329,20 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main() as a process: `python -m bernocchi.cli` and the `bernocchi`
+    script.  Once main() has returned, flush stdout and stderr and end the
+    process with os._exit, skipping the interpreter's teardown, which does no
+    work a user can see: bernocchi registers no atexit handler and starts no
+    thread (README, "Start-up and exit").  If main() raises, the exception
+    takes the interpreter's usual path; if a flush fails, sys.exit does."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, formats, exit-status contract, cache behavior."""
+import errno
 import hashlib
 import json
 import os
@@ -24,6 +25,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(bernocchi.__file__).parent.parent))
+
+
+def cli_process(*argv, stdout=subprocess.PIPE, stdout_closed=False):
+    """Run `python -m bernocchi.cli argv` as a real process, which exits through entry()."""
+    command = [sys.executable, "-m", "bernocchi.cli", *argv]
+    if stdout_closed:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=ENV, timeout=60)
 
 
 def test_compute_genocchi(capsys):
@@ -775,15 +787,122 @@ def test_help_exits_zero(capsys):
 def test_broken_pipe_exits_quietly():
     # ~450 kB of output, far more than a pipe holds, so writes after the
     # reader has gone must hit a broken pipe.
-    env = dict(os.environ, PYTHONPATH=str(Path(bernocchi.__file__).parent.parent))
     proc = subprocess.Popen(
         [sys.executable, "-m", "bernocchi.cli", "table", "stirling", "120"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=ENV,
     )
     assert proc.stdout.readline() == b"1\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err == b""
+
+
+def test_a_cli_process_writes_every_byte_to_a_file_and_a_pipe(capsys, tmp_path):
+    # ~450 kB, more than any stdio or pipe buffer holds: the process must not
+    # exit before its last write has been flushed.
+    code, expected, _ = run(capsys, "table", "stirling", "120")
+    assert code == 0
+    path = tmp_path / "table.txt"
+    with open(path, "wb") as out:
+        to_file = cli_process("table", "stirling", "120", stdout=out)
+    to_pipe = cli_process("table", "stirling", "120")
+    assert to_file.returncode == to_pipe.returncode == 0
+    assert path.read_bytes() == to_pipe.stdout == expected.encode()
+    assert to_file.stderr == to_pipe.stderr == b""
+
+
+def test_a_cli_process_exits_two_on_a_strict_dissent():
+    # TANGENT_DOUBLE_14_AS_PRINTED dissents at n = 2.
+    assert cli_process("verify", "--max-n", "2", "--strict").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [("frobnicate",), ("verify", "--max-n", "-1")])
+def test_a_cli_process_exits_one_with_one_error_line(argv):
+    proc = cli_process(*argv)
+    *usage, error = proc.stderr.decode().splitlines()
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert all(line.startswith(("usage: ", " ")) for line in usage)  # argparse's, if any
+    assert error.startswith("bernocchi") and ": error: " in error
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max-n", "3"), ("cache", "path")])
+def test_a_cli_process_with_stdout_closed_exits_one_without_a_traceback(argv):
+    proc = cli_process(*argv, stdout_closed=True)
+    assert proc.returncode == 1
+    assert proc.stderr == b"bernocchi: i/o error: standard output is closed\n"
+
+
+def test_help_with_stdout_closed_goes_to_stderr():
+    proc = cli_process("--help", stdout_closed=True)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith(b"usage: bernocchi")
+
+
+class _Stream:
+    def __init__(self, name, events, error=None):
+        self.name, self.events, self.error = name, events, error
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.error is not None:
+            raise self.error
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """A list of the flushes and os._exit calls made, in order; os._exit
+    records its code in place of exiting."""
+    calls = []
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(f"exit {code}"))
+    return calls
+
+
+def test_entry_flushes_both_streams_before_it_exits(monkeypatch, events):
+    monkeypatch.setattr(cli, "main", lambda: 2)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    cli.entry()
+    assert events == ["flush stdout", "flush stderr", "exit 2"]
+    events.clear()
+    monkeypatch.setattr(sys, "stdout", None)  # started with stdout closed
+    cli.entry()
+    assert events == ["flush stderr", "exit 2"]
+
+
+def test_entry_leaves_an_exception_from_main_to_the_interpreter(monkeypatch, events):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "main", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.entry()
+    assert events == []
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EIO, "flush failed"), ValueError("closed file")])
+def test_entry_falls_back_to_sys_exit_when_a_flush_fails(monkeypatch, events, error):
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, error))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 1
+    assert events == ["flush stdout"]
+
+
+def test_bernocchi_leaves_nothing_for_the_skipped_teardown_to_run():
+    # entry() skips atexit handlers and the join of non-daemon threads.
+    probe = (
+        "import atexit, importlib, pkgutil, sys, threading, bernocchi; "
+        "before = atexit._ncallbacks(); "
+        "[importlib.import_module(f'bernocchi.{m.name}') for m in pkgutil.iter_modules(bernocchi.__path__)]; "
+        "code = bernocchi.cli.main(['verify', '--max-n', '4']); "
+        "print(before, atexit._ncallbacks(), threading.active_count(), code, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=ENV, timeout=60, check=True
+    )
+    before, after, threads, code = proc.stderr.split()
+    assert (after, threads, code) == (before, "1", "0")
