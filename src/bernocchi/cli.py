@@ -22,8 +22,8 @@ BENCH_HEADER = "formula,n,reps,median_ns,value"
 # triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
 VERIFY_CEILING = 500
 # Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
-# about as n^3 in time (some 12 s at 5000); genocchi and stirling hold a
-# Stirling triangle whose size grows about as n^3 (0.2 GB at genocchi 1000).
+# about as n^3 in time (some 12 s at 5000), genocchi holds a Stirling triangle
+# that grows about as n^3 (0.2 GB at 1000), and stirling prints it row by row.
 TABLE_CEILINGS = {"bernoulli": 5000, "genocchi": 1000, "stirling": 600}
 # Largest cache build MAX_N accepted (README, "CLI").  Writing the triangle
 # grows about as n^3.8 in time and its file about as n^3 log n: 11 s, 0.2 GB
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a value table")
-    p_table.add_argument("kind", choices=("bernoulli", "genocchi", "stirling"))
+    p_table.add_argument("kind", choices=tuple(TABLE_CEILINGS))
     p_table.add_argument("max_n", type=int)
     p_table.add_argument("--format", choices=FORMATS, default="plain")
     p_table.set_defaults(func=cmd_table)
@@ -186,11 +186,11 @@ def cmd_table(args) -> int:
     if args.max_n > TABLE_CEILINGS[kind]:
         raise ValueError(f"max_n must be at most {TABLE_CEILINGS[kind]} for table {kind}")
     if kind == "stirling":
-        from .stirling import shared_triangle
+        from .stirling import _walk_rows
 
-        rows = shared_triangle(args.max_n).rows
+        rows = _walk_rows(args.max_n)  # one row at a time
         if args.format == "json":
-            _print_json({"kind": kind, "rows": iter(rows)})  # an iterator: one row at a time
+            _print_json({"kind": kind, "rows": rows})
         elif args.format == "csv":
             print("n,k,value")
             for n, row in enumerate(rows):
@@ -206,8 +206,7 @@ def cmd_table(args) -> int:
         from .exact import format_rational
         from .formulas import genocchi_theorem
 
-        entries = [(n, genocchi_theorem(n)) for n in range(1, args.max_n + 1)]
-        rows = ((n, format_rational(v)) for n, v in entries)
+        rows = ((n, format_rational(genocchi_theorem(n))) for n in range(1, args.max_n + 1))
     if args.format == "json":
         _print_json({"kind": kind, "rows": ({"n": n, "value": v} for n, v in rows)})
     elif args.format == "csv":

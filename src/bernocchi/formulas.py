@@ -505,7 +505,6 @@ class _Formula(NamedTuple):
 
     evaluate: Callable[[int], Fraction]
     ceiling: int
-    lowest: int = 0
     even_only: bool = False
     trusted: bool = True
     genocchi: bool = False
@@ -530,23 +529,21 @@ _REGISTRY: dict[FormulaId, _Formula] = {
     # Reads the triangle to row 2n.
     FormulaId.STIRLING_RATIO_12: _Formula(lambda n: bernoulli_stirling_ratio(n), 500),
     FormulaId.FAULHABER_RECURSION_13: _Formula(
-        lambda n: bernoulli_faulhaber_recursion(n // 2), 2000, lowest=2, even_only=True
+        lambda n: bernoulli_faulhaber_recursion(n // 2), 2000, even_only=True
     ),
     FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: _Formula(
         lambda n: bernoulli_tangent_double_as_printed(n // 2),
         10000,
-        lowest=2,
         even_only=True,
         trusted=False,
     ),
     FormulaId.DOUBLE_STIRLING_15: _Formula(
-        lambda n: bernoulli_double_stirling(n // 2), 1000, lowest=2, even_only=True
+        lambda n: bernoulli_double_stirling(n // 2), 1000, even_only=True
     ),
-    FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), 1000, lowest=1, genocchi=True),
+    FormulaId.GENOCCHI_THEOREM_16: _Formula(lambda n: genocchi_theorem(n), 1000, genocchi=True),
     FormulaId.BRENT_HARVEY_TANGENT: _Formula(
         lambda n: bernoulli_from_tangent(n // 2, tangent_numbers(n // 2)[-1]),
         4400,
-        lowest=2,
         even_only=True,
         sweep=lambda max_n: _tangent_sweep(max_n),
     ),
@@ -554,9 +551,12 @@ _REGISTRY: dict[FormulaId, _Formula] = {
 
 
 def is_applicable(formula: FormulaId, n: int) -> bool:
-    """Whether the formula is defined at index n (no reinterpreted indices)."""
+    """Whether the formula is defined at index n (no reinterpreted indices): from 2 for an
+    even-only row, whose kernel takes k = n/2 >= 1, from 1 for a Genocchi row (1 - 2^0 = 0)."""
     entry = _REGISTRY[formula]
-    return n >= entry.lowest and not (entry.even_only and n % 2)
+    if entry.even_only:
+        return n >= 2 and n % 2 == 0
+    return n >= (1 if entry.genocchi else 0)
 
 
 def formula_value(formula: FormulaId, n: int) -> Fraction:

@@ -89,14 +89,20 @@ def _next_row(prev: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _walk_rows(max_n: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..max_n, each built from the last by the recurrence; none is kept."""
+    row = (1,)
+    for _ in range(max_n):
+        yield row
+        row = _next_row(row)
+    yield row
+
+
 def triangle_build(max_n: int) -> StirlingTriangle:
     """Build rows 0..max_n with the two-term recurrence."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    rows = [(1,)]
-    for _ in range(max_n):
-        rows.append(_next_row(rows[-1]))
-    return StirlingTriangle(max_n, tuple(rows))
+    return StirlingTriangle(max_n, tuple(_walk_rows(max_n)))
 
 
 # Session-wide row cache: formulas reuse large rows heavily, and extending
@@ -118,10 +124,7 @@ def shared_triangle(max_n: int) -> StirlingTriangle:
 # The forward-difference table of t^k for the last exponent k asked for,
 # as (k, tops, diagonal): tops[j] = Δ^j t^k at 0 and diagonal[j] = Δ^j t^k
 # at M - j for j = 0..M, where M is the last column built.  Guarded by
-# _power_lock.  Each column is appended to tops in place and the tuple is
-# then replaced whole, so len(diagonal) counts the committed columns: a step
-# that raises leaves diagonal as it was, and a tops entry appended by a step
-# that never committed is dropped on the next call.
+# _power_lock and replaced whole once per call: a step that raises changes nothing.
 _power_table: tuple[int, list[int], list[int]] = (0, [1], [1])
 _power_lock = threading.Lock()
 
@@ -139,12 +142,10 @@ def _power_difference(k: int, m: int) -> int:
         exponent, tops, diagonal = _power_table
         if exponent != k:
             tops, diagonal = [0**k], [0**k]
-        elif len(tops) > len(diagonal):  # a column appended to tops but never committed
-            del tops[len(diagonal):]
-        for top in range(len(diagonal), m + 1):
+        for top in range(len(tops), m + 1):
             diagonal = list(accumulate(diagonal, sub, initial=top**k))
-            tops.append(diagonal[-1])
-            _power_table = (k, tops, diagonal)
+            tops = [*tops, diagonal[-1]]
+        _power_table = (k, tops, diagonal)
         return tops[m]
 
 

@@ -393,8 +393,8 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
             "genocchi", "bernocchi.formulas.genocchi_theorem", lambda k: Fraction(0), 600, id="genocchi"
         ),
         pytest.param(
-            "stirling", "bernocchi.stirling.shared_triangle", lambda max_n: stirling.triangle_build(0),
-            120, id="stirling",
+            "stirling", "bernocchi.stirling._walk_rows", lambda max_n: iter([(1,)]), 120,
+            id="stirling",
         ),
     ],
 )

@@ -200,6 +200,11 @@ INTERRUPTED_MEMOS = [
         id="series-rows",
     ),
     pytest.param(stirling, "accumulate", lambda m: stirling_explicit(40, m), id="explicit-table"),
+    pytest.param(derivatives, "_step", derivatives.logistic_derivative_polynomial, id="logistic-iterate"),
+    pytest.param(derivatives, "_step", lambda n: derivatives.derivative_polynomial(n, 2), id="expm1-iterate"),
+    pytest.param(
+        derivatives, "_step", lambda n: derivatives.genocchi_from_derivatives(n + 1), id="genocchi-values"
+    ),
 ]
 
 
@@ -583,11 +588,11 @@ def test_sweep_yields_the_per_index_value_at_every_applicable_index(fid, limit):
 def test_registry_row_record_contract():
     row = formulas._Formula(bernoulli_higgins, 6000)
     assert formulas._Formula._fields == (
-        "evaluate", "ceiling", "lowest", "even_only", "trusted", "genocchi", "sweep"
+        "evaluate", "ceiling", "even_only", "trusted", "genocchi", "sweep"
     )
-    assert row[1:] == (6000, 0, False, True, False, None)  # sweep defaults to None
+    assert row[1:] == (6000, False, True, False, None)  # sweep defaults to None
     with pytest.raises(AttributeError):
-        row.lowest = 1
+        row.even_only = True
     with pytest.raises(AttributeError):
         row.extra = 1
 

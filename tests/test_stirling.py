@@ -136,18 +136,18 @@ def test_explicit_sum_equals_the_triangle_in_any_call_order(order):
         assert stirling_explicit(n, k) == t.value(n, k), (n, k)
 
 
-def test_explicit_sum_drops_a_column_appended_but_never_committed():
-    # An interrupt between the append to the kept tops list and the tuple
-    # assignment leaves tops one column ahead of the kept diagonal.
+def test_explicit_sum_never_changes_a_committed_list():
+    # Growing the table builds new lists and replaces the kept tuple whole,
+    # so the lists of the table it replaced keep their contents.
     reset_caches()
     t = triangle_build(12)
     assert stirling_explicit(12, 5) == t.value(12, 5)
     exponent, tops, diagonal = stirling._power_table
+    before = (list(tops), list(diagonal))
     assert (exponent, len(tops), len(diagonal)) == (12, 6, 6)
-    tops.append(factorial(6) * t.value(12, 6))  # the column the step was adding
-    assert [stirling_explicit(12, m) for m in range(6, 13)] == list(t.row(12)[6:])
-    _, tops, diagonal = stirling._power_table
-    assert len(tops) == len(diagonal) == 13
+    assert stirling_explicit(12, 9) == t.value(12, 9)
+    assert (tops, diagonal) == before
+    assert [len(kept) for kept in stirling._power_table[1:]] == [10, 10]
 
 
 def test_explicit_sum_equals_the_binomial_sum_as_printed():
