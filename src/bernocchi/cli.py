@@ -22,8 +22,8 @@ BENCH_HEADER = "formula,n,reps,median_ns,value"
 # triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
 VERIFY_CEILING = 500
 # Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
-# about as n^3 in time (some 12 s at 5000), genocchi holds a Stirling triangle
-# that grows about as n^3 (0.2 GB at 1000), and stirling prints it row by row.
+# about as n^3 in time (some 12 s at 5000); genocchi and stirling read the
+# Stirling rows one at a time, stirling printing each (80 MB of text at 600).
 TABLE_CEILINGS = {"bernoulli": 5000, "genocchi": 1000, "stirling": 600}
 # Largest cache build MAX_N accepted (README, "CLI").  Writing the triangle
 # grows about as n^3.8 in time and its file about as n^3 log n: 11 s, 0.2 GB
@@ -185,10 +185,17 @@ def cmd_table(args) -> int:
         raise ValueError("max_n must be nonnegative")
     if args.max_n > TABLE_CEILINGS[kind]:
         raise ValueError(f"max_n must be at most {TABLE_CEILINGS[kind]} for table {kind}")
-    if kind == "stirling":
+    if kind == "bernoulli":
+        rows = _bernoulli_rows(args.max_n)
+    else:
         from .stirling import _walk_rows
 
         rows = _walk_rows(args.max_n)  # one row at a time
+    if kind == "genocchi":
+        from .formulas import _genocchi_from_row
+
+        rows = ((n, str(_genocchi_from_row(n, row))) for n, row in enumerate(rows) if n)
+    elif kind == "stirling":
         if args.format == "json":
             _print_json({"kind": kind, "rows": rows})
         elif args.format == "csv":
@@ -199,14 +206,6 @@ def cmd_table(args) -> int:
             for row in rows:
                 print(",".join(str(v) for v in row))
         return 0
-
-    if kind == "bernoulli":
-        rows = _bernoulli_rows(args.max_n)
-    else:
-        from .exact import format_rational
-        from .formulas import genocchi_theorem
-
-        rows = ((n, format_rational(genocchi_theorem(n))) for n in range(1, args.max_n + 1))
     if args.format == "json":
         _print_json({"kind": kind, "rows": ({"n": n, "value": v} for n, v in rows)})
     elif args.format == "csv":

@@ -436,19 +436,16 @@ def bernoulli_double_stirling(k: int) -> Fraction:
     return Fraction(common + total, common)
 
 
-def genocchi_theorem(k: int) -> Fraction:
+def _genocchi_from_row(k: int, row: tuple[int, ...]) -> int:
     """G_k = (-1)^k k sum_{m=1..k} (-1)^m (m-1)!/2^(m-1) S(k,m).
 
-    Summed in integers as k sum_m (-1)^m (m-1)! 2^(k-m) S(k,m), then
-    divided once by 2^(k-1).  Neighbouring coefficients differ by the factor
-    -m/2, so the sum is -h_1 by Horner's rule: h_k = S(k,k) and
+    Summed in integers from row = S(k,0..k) as k sum_m (-1)^m (m-1)! 2^(k-m)
+    S(k,m), then divided once by 2^(k-1).  Neighbouring coefficients differ
+    by the factor -m/2, so the sum is -h_1 by Horner's rule: h_k = S(k,k) and
     h_m = (S(k,m) << (k-m)) - m h_{m+1}, one shift and one multiplication by
     a small integer per term.  The result always reduces to an integer; a
     remainder signals an implementation bug and raises.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    row = shared_triangle(k).row(k)
     horner = row[k]  # h_m, from m = k down to 1
     for m in range(k - 1, 0, -1):
         horner = (row[m] << (k - m)) - m * horner
@@ -456,7 +453,14 @@ def genocchi_theorem(k: int) -> Fraction:
     value, remainder = divmod(scaled, 1 << (k - 1))
     if remainder:
         raise ArithmeticError(f"G_{k} came out non-integer: {Fraction(scaled, 1 << (k - 1))}")
-    return Fraction(value)
+    return value
+
+
+def genocchi_theorem(k: int) -> Fraction:
+    """Theorem (16)'s G_k, from row k of the shared triangle."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return Fraction(_genocchi_from_row(k, shared_triangle(k).row(k)))
 
 
 def _tangent_sweep(max_n: int) -> Iterator[tuple[int, Fraction]]:

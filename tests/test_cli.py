@@ -390,7 +390,7 @@ def test_verify_refuses_a_max_n_above_the_ceiling_before_any_work(capsys, monkey
             id="bernoulli",
         ),
         pytest.param(
-            "genocchi", "bernocchi.formulas.genocchi_theorem", lambda k: Fraction(0), 600, id="genocchi"
+            "genocchi", "bernocchi.formulas._genocchi_from_row", lambda k, row: 0, 600, id="genocchi"
         ),
         pytest.param(
             "stirling", "bernocchi.stirling._walk_rows", lambda max_n: iter([(1,)]), 120,
@@ -562,6 +562,24 @@ def test_table_genocchi(capsys):
     assert values[12] == 2073
     assert values[18] == -28820619
     assert all(values[n] == 0 for n in range(1, 19) if n % 2 and n > 1)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_table_genocchi_reads_one_row_at_a_time(capsys, fmt):
+    # The command applies theorem (16) to each row of the Stirling walk, so
+    # the shared triangle stays at row 0, and prints what genocchi_theorem gives.
+    reset_caches()
+    code, out, err = run(capsys, "table", "genocchi", "60", "--format", fmt)
+    assert stirling._shared_rows == [(1,)]
+    values = [(n, format_rational(formulas.genocchi_theorem(n))) for n in range(1, 61)]
+    want = {
+        "plain": "".join(f"{n} {v}\n" for n, v in values),
+        "csv": "n,value\n" + "".join(f"{n},{v}\n" for n, v in values),
+        "json": json.dumps(
+            {"kind": "genocchi", "rows": [{"n": n, "value": v} for n, v in values]}, indent=2
+        ) + "\n",
+    }[fmt]
+    assert (code, out, err) == (0, want, "")
 
 
 def test_table_bernoulli(capsys):
