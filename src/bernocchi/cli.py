@@ -22,12 +22,15 @@ BENCH_HEADER = "formula,n,reps,median_ns,value"
 # triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
 VERIFY_CEILING = 500
 # Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
-# about as n^3 in time (some 12 s at 5000); genocchi and stirling read the
-# Stirling rows one at a time, stirling printing each (80 MB of text at 600).
+# about as n^3 in time (some 12 s at 5000).  genocchi and stirling read the
+# Stirling rows one at a time, so memory sets neither: stirling's is set by
+# the text it prints (80 MB at 600), and genocchi's is kept at 1000 though
+# 1500 took 1.1 s and 18 MB, until a change of its own raises it.
 TABLE_CEILINGS = {"bernoulli": 5000, "genocchi": 1000, "stirling": 600}
-# Largest cache build MAX_N accepted (README, "CLI").  Writing the triangle
-# grows about as n^3.8 in time and its file about as n^3 log n: 11 s, 0.2 GB
-# and a 414 MB file at 1000; 1200 would take some 22 s and 0.7 GB of disk.
+# Largest cache build MAX_N accepted (README, "CLI").  The rows are written
+# one at a time (20 MB at 1000), so time and disk set it: writing grows
+# about as n^4 in time and the file about as n^3 log n, 7.2 s and 414 MB at
+# 1000; 1200 would take some 16 s and 0.7 GB of disk.
 CACHE_CEILING = 1000
 # Largest bench --max-n accepted (README, "CLI").  bench times the indices
 # 8, 16, 32, ... up to max_n, so every max_n up to 1023 stops at 512: 2.6 s
@@ -276,10 +279,10 @@ def cmd_cache(args) -> int:
             raise ValueError("cache build requires a nonnegative max_n")
         if args.max_n > CACHE_CEILING:
             raise ValueError(f"max_n must be at most {CACHE_CEILING} for cache build")
-        from .stirling import triangle_build, triangle_save
+        from .stirling import _walk_rows, triangle_save
 
         cache_dir().mkdir(parents=True, exist_ok=True)
-        triangle_save(triangle_build(args.max_n), cache_file())
+        triangle_save((args.max_n, _walk_rows(args.max_n)), cache_file())  # one row at a time
         print(str(cache_file()))
         return 0
     if args.max_n is not None:

@@ -11,7 +11,8 @@ coefficient-wise against closed forms built from Stirling numbers.
 Each step q <- q' F runs over integer numerators (_step).  The module
 functions keep the last iterate they grew, with its rule and k, and
 continue from it when asked for the same rule at the same or a larger k;
-genocchi_from_derivatives reads G_k off the logistic iterates in one pass.
+genocchi_from_derivatives reads G_k off logistic iterate k-1, grown and
+kept the same way.
 
 The whole validation is a formal polynomial identity in exact rationals;
 no transcendental evaluation is involved.
@@ -83,10 +84,10 @@ LOGISTIC_RULE = DerivativeRule(RationalPolynomial((0, -1, 1)))
 
 # The last iterate grown from p_0 = x, as (rule, k, q): q the integer
 # numerators of the rule applied k times to x, over d^k with d the
-# denominator of the rule's factor.  Guarded by _iterate_lock, with the
-# Genocchi values below, and replaced whole only once a call has its
-# result, so a step that raises leaves it as it was.  Only one iterate is
-# kept: iterate k holds k+2 integers of about k log2 k bits each.
+# denominator of the rule's factor.  Guarded by _iterate_lock and replaced
+# whole only once a call has its result, so a step or a check that raises
+# leaves it as it was.  It is the module's one memo: iterate k holds k+2
+# integers of about k log2 k bits each.
 _iterate: tuple[DerivativeRule, int, Sequence[int]]
 _iterate_lock = threading.Lock()
 
@@ -161,20 +162,11 @@ def logistic_derivative_polynomial_reference(k: int) -> RationalPolynomial:
     return RationalPolynomial([0, *((-1) ** (k + 1 + m) * t for m, t in enumerate(terms, 1))])
 
 
-# G_1..G_k as found so far, guarded by _iterate_lock.  G_(j+1) is read off
-# iterate j, which is the rule applied once to iterate j-1, so reaching
-# G_n from the kept logistic iterate costs one step per index not yet
-# reached.  A step whose value raises changes neither the values nor the
-# kept iterate.
-_genocchi_values: list[Fraction]
-
-
 def _reset_iterate() -> None:
-    """Forget every Genocchi value past G_1 = 2 p_0(1/2) = 1, and keep p_0 = x."""
-    global _iterate, _genocchi_values
+    """Keep p_0 = x of the logistic rule, forgetting any later iterate."""
+    global _iterate
     with _iterate_lock:
         _iterate = (LOGISTIC_RULE, 0, X.numerators)
-        _genocchi_values = [Fraction(1)]
 
 
 _reset_iterate()
@@ -186,24 +178,22 @@ def genocchi_from_derivatives(k: int) -> Fraction:
     The evaluation point 1/2 is the t -> 0 limit of 1/(e^t + 1).  With
     c_0..c_d the integer numerators of iterate k-1, p(1/2) is
     sum_i c_i 2^(d-i) / 2^d, so G_k = 2k sum_i c_i 2^(d-i) / 2^d is formed
-    in integers by shifts and divided once.  The values are memoised and
-    grown from the kept iterate (see _genocchi_values).  G_j is an integer,
-    so a remainder signals a bug and raises, naming G_j.
+    in integers by shifts and divided once.  The iterate is continued from
+    the kept one as logistic_derivative_polynomial(k - 1) is, and replaces
+    it only once G_k is found: G_k is an integer, so a remainder signals a
+    bug, raises naming G_k and leaves the kept iterate as it was.
     """
     global _iterate
     if k < 1:
         raise ValueError("k must be positive")
     with _iterate_lock:
-        while len(_genocchi_values) < k:
-            j = len(_genocchi_values) + 1
-            q = _grown(LOGISTIC_RULE, j - 1)
-            d = len(q) - 1
-            scaled = 2 * j * sum(c << (d - i) for i, c in enumerate(q))
-            value, remainder = divmod(scaled, 1 << d)
-            if remainder:
-                raise ArithmeticError(
-                    f"G_{j} via derivative polynomials came out non-integer: {Fraction(scaled, 1 << d)}"
-                )
-            _iterate = (LOGISTIC_RULE, j - 1, q)
-            _genocchi_values.append(Fraction(value))
-        return _genocchi_values[k - 1]
+        q = _grown(LOGISTIC_RULE, k - 1)
+        d = len(q) - 1
+        scaled = 2 * k * sum(c << (d - i) for i, c in enumerate(q))
+        value, remainder = divmod(scaled, 1 << d)
+        if remainder:
+            raise ArithmeticError(
+                f"G_{k} via derivative polynomials came out non-integer: {Fraction(scaled, 1 << d)}"
+            )
+        _iterate = (LOGISTIC_RULE, k - 1, q)
+    return Fraction(value)

@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import sub
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "StirlingTriangle",
@@ -270,21 +270,24 @@ def _validate_triangle(triangle: StirlingTriangle) -> None:
             raise TriangleInvariantError(f"row {n} violates the recurrence")
 
 
-def triangle_save(triangle: StirlingTriangle, path: str | Path) -> None:
+def triangle_save(triangle: tuple[int, Iterable[tuple[int, ...]]], path: str | Path) -> None:
     """Write the versioned plain-text cache format (see triangle_load).
 
-    Rows are written one at a time to a temporary file in the same
-    directory, which then replaces `path` in one step: a reader sees the
-    old file or the new one, never a partial write, and a write that fails
-    partway removes the temporary file.
+    `triangle` is any (max_n, rows) pair, such as a StirlingTriangle or
+    (max_n, _walk_rows(max_n)); its rows are read once.  They are written
+    one at a time to a temporary file in the same directory, which then
+    replaces `path` in one step: a reader sees the old file or the new one,
+    never a partial write, and a write that fails partway removes the
+    temporary file.
     """
+    max_n, rows = triangle
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(temp, "w", encoding="ascii") as out:
-            out.write(f"{_FILE_MAGIC} {_FILE_VERSION} max_n={triangle.max_n}\n")
+            out.write(f"{_FILE_MAGIC} {_FILE_VERSION} max_n={max_n}\n")
             count = 0
-            for n, row in enumerate(triangle.rows):
+            for n, row in enumerate(rows):
                 out.write("".join([f"{n} {k} {value}\n" for k, value in enumerate(row)]))
                 count += len(row)
             out.write(f"END {count}\n")

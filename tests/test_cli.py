@@ -427,8 +427,8 @@ def test_table_refuses_a_max_n_above_its_ceiling_before_any_work(
     [
         # The compute-cached workload of perfbench/run.py builds the cache at 300.
         pytest.param(
-            ("cache", "build"), "CACHE_CEILING", "bernocchi.stirling.triangle_build",
-            lambda max_n, build=stirling.triangle_build: build(0), 300,
+            ("cache", "build"), "CACHE_CEILING", "bernocchi.stirling._walk_rows",
+            lambda max_n, walk=stirling._walk_rows: walk(0), 300,
             "max_n must be at most {} for cache build",
             id="cache-build",
         ),
@@ -699,6 +699,18 @@ def test_cache_build_path_clear(capsys):
     # clearing an empty cache stays successful
     code, _, _ = run(capsys, "cache", "clear")
     assert code == 0
+
+
+def test_cache_build_writes_each_row_without_building_the_triangle(capsys, monkeypatch, tmp_path):
+    expected = tmp_path / "expected.txt"
+    stirling.triangle_save(stirling.triangle_build(60), expected)
+
+    def refused(max_n):
+        raise AssertionError("cache build built the whole triangle")
+
+    monkeypatch.setattr(stirling, "triangle_build", refused)
+    assert run(capsys, "cache", "build", "60") == (0, f"{cache_file()}\n", "")
+    assert cache_file().read_bytes() == expected.read_bytes()
 
 
 def test_cache_build_requires_max_n(capsys):

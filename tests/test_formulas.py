@@ -160,17 +160,16 @@ def test_reset_caches_empties_every_memo():
     stirling_via_series(12, 5)
     stirling_explicit(12, 5)
     derivatives.genocchi_from_derivatives(20)
+    assert derivatives._iterate[:2] == (derivatives.LOGISTIC_RULE, 19)
     derivatives.derivative_polynomial(7, 2)
     assert len(stirling._expm1_rows) > 1
     assert stirling._power_table[0] == 12
-    assert len(derivatives._genocchi_values) == 20
     assert derivatives._iterate[1] == 7
     reset_caches()
     assert formulas._oracle == (2, [2, -1], [1, 2, 1])
     assert stirling._shared_rows == [(1,)]
     assert stirling._expm1_rows == [[1]]
     assert stirling._power_table == (0, [1], [1])
-    assert derivatives._genocchi_values == [1]
     assert derivatives._iterate == (derivatives.LOGISTIC_RULE, 0, X.numerators)
 
 
