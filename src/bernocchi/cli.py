@@ -18,8 +18,9 @@ import sys
 FORMATS = ("plain", "csv", "json")
 BENCH_HEADER = "formula,n,reps,median_ns,value"
 # Largest verify --max-n accepted.  verify_range grows about as n^3 in time
-# and memory (README, "CLI"): at 500 that is some 10-16 s and a Stirling
-# triangle of 1000 rows, about 0.25 GB; much past it a run cannot finish.
+# and memory (README, "CLI"): a cold process at 500 took 7.7-9.0 s, some
+# 3.6 s of it FAULHABER's, and 214 MB, most of it a Stirling triangle of
+# 1000 rows; much past it a run cannot finish.
 VERIFY_CEILING = 500
 # Largest table MAX_N accepted, per kind (README, "CLI").  bernoulli grows
 # about as n^3 in time (some 12 s at 5000).  genocchi and stirling read the

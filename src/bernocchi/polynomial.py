@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from operator import floordiv, mul, sub
 from typing import Iterable, Sequence
 
 __all__ = ["RationalPolynomial", "X", "interpolate"]
@@ -102,28 +102,31 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
     (d, e the lcms of the denominators).  Level j of the divided
     differences is kept multiplied by scale_j = scale_{j-1} * step_j, step_j
     the lcm of its gaps X_{i+j} - X_i, so each entry is
-    (next - this) * (step_j // gap), an integer.  Horner's rule in the
-    Newton basis, acc <- acc*(t - X_j) + top_j * (scale_N / scale_j), gives
-    the integer polynomial scale_N * e * p(t/d), so coefficient m of the
-    result is acc_m d^m / (scale_N e); integer nodes (d = 1) skip that
-    rescale, and integer nodes and values are used without a copy.  Each
-    Horner step updates acc in place from the constant term up, saving
-    entry i before it is overwritten for use at entry i+1.  The abscissas
-    must be pairwise distinct.
+    (next - this) * (step_j // gap), an integer.  Each Newton coefficient
+    top_j / scale_j is reduced once, by a gcd, to num_j / den_j, and all of
+    them are put over L, the lcm of the den_j.  Horner's rule in the Newton
+    basis, acc <- acc*(t - X_j) + num_j * (L // den_j), then gives the
+    integer polynomial L * e * p(t/d), so coefficient m of the result is
+    acc_m d^m / (L e); integer nodes (d = 1) skip that rescale, and integer
+    nodes and values are used without a copy.  Each Horner step updates acc
+    in place from the constant term up, saving entry i before it is
+    overwritten for use at entry i+1.  The abscissas must be pairwise
+    distinct.
 
     On equally spaced nodes every gap of level j equals X_j - X_0, which is
     taken as step_j, so the levels are plain forward differences and no
-    gaps are formed; on the consecutive integers 0..N, scale_N / scale_j is
-    N!/j!.  On scattered rational nodes scale_N grows faster than the lcm
-    of a Lagrange form would.
+    gaps are formed.  On the consecutive integers 0..N, scale_j is j! and L
+    is far smaller than N!: 18 bits against 525 at N = 100 for the power
+    sums of `FAULHABER_RECURSION_13`.  On scattered rational nodes the
+    level scales grow faster than the lcm of a Lagrange form would.
     """
     d, nodes = _integer_form([x for x, _ in points])
     e, level = _integer_form([y for _, y in points])
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation abscissas must be distinct")
 
-    # tops[j] = f[X_0..X_j] * scale_j, the leading entry of level j.
-    tops, steps = level[:1], [1]
+    # tops[j] / scales[j] = f[X_0..X_j], from the leading entry of level j.
+    tops, scales = level[:1], [1]
     equally_spaced = len(set(map(sub, nodes[1:], nodes))) == 1
     for j in range(1, len(nodes)):
         level = list(map(sub, level[1:], level))
@@ -134,19 +137,21 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Rati
             step = lcm(*gaps)
             level = list(map(mul, level, map(step.__floordiv__, gaps)))
         tops.append(level[0])
-        steps.append(step)
+        scales.append(scales[-1] * step)
+    divisors = list(map(gcd, tops, scales))
+    nums = list(map(floordiv, tops, divisors))
+    dens = list(map(floordiv, scales, divisors))
+    common = lcm(*dens)  # L
 
     acc: list[int] = []
-    weight = 1  # scale_N / scale_j
-    for node, top, step in zip(reversed(nodes), reversed(tops), reversed(steps)):
+    for node, num, den in zip(reversed(nodes), reversed(nums), reversed(dens)):
         acc.append(0)
         below = 0  # old entry i-1
         for i in range(len(acc)):
             old = acc[i]
             acc[i] = below - node * old
             below = old
-        acc[0] += top * weight
-        weight *= step
+        acc[0] += num * (common // den)
     if d != 1:
         acc = [c * d**m for m, c in enumerate(acc)]
-    return RationalPolynomial(acc, weight * e)
+    return RationalPolynomial(acc, common * e)

@@ -1,85 +1,85 @@
-"""Which shared inputs each route reads, and so which routes can fail together.
+"""Which routes can fail together: `sys.setprofile` records the package functions each runs.
 
-Every module-global binding of a shared input is wrapped to record its
-name, each route is evaluated cold at a few indices, and the names it
-touched must equal the table below.  A new route fails here until its
-inputs are declared; the README's "Formula registry" section holds the same
-table.  A row's sweep, which `verify` reads in its place, must touch the
-same inputs as the row.
-"""
+The independence classes are the connected components of "runs a common function".
+C builtins and `fractions`, which it does not record, are the trusted base."""
 import sys
+from pathlib import Path
 
 import pytest
 
-from bernocchi import derivatives, formulas, polynomial, reset_caches, stirling, tangent
+from bernocchi import derivatives, formulas, reset_caches
 from bernocchi.formulas import FormulaId
 
-SHARED_INPUTS = {
-    "bernoulli_series_oracle": formulas,
-    "shared_triangle": stirling,
-    "tangent_numbers": tangent,
-    "interpolate": polynomial,
-    "_expm1_row": stirling,
-    "_power_difference": stirling,
-}
-
-GENOCCHI_DERIVATIVES = "genocchi_from_derivatives"
-
-ROUTE_INPUTS = {
-    FormulaId.SERIES_ORACLE: {"bernoulli_series_oracle"},
-    FormulaId.HIGGINS_9: set(),
-    FormulaId.STIRLING_SINGLE_10: {"shared_triangle"},
-    FormulaId.GOULD_DOUBLE_11: set(),
-    FormulaId.STIRLING_RATIO_12: {"shared_triangle"},
-    FormulaId.FAULHABER_RECURSION_13: {"interpolate"},
-    FormulaId.TANGENT_DOUBLE_14_AS_PRINTED: set(),
-    FormulaId.DOUBLE_STIRLING_15: {"shared_triangle"},
-    FormulaId.GENOCCHI_THEOREM_16: {"shared_triangle"},
-    FormulaId.BRENT_HARVEY_TANGENT: {"tangent_numbers"},
-    GENOCCHI_DERIVATIVES: set(),
-}
+DERIVATIVES = "genocchi_from_derivatives"
+# Left out, with every code object named "<...>": registry lambdas, comprehensions.
+DISPATCH = {f"bernocchi.formulas.{f}" for f in ("formula_value", "is_applicable", "bernoulli_sweep")}
+TRIANGLE = {"STIRLING_SINGLE_10", "STIRLING_RATIO_12", "DOUBLE_STIRLING_15", "GENOCCHI_THEOREM_16"}
+# (route, a function it calls by name): the kernel, then the sweep, of each registry row.
+KERNELS = [(fid.value, getattr(formulas, name)) for fid, row in formulas._REGISTRY.items()
+           for entry in (row.evaluate, row.sweep) if entry for name in entry.__code__.co_names]
+KERNELS.append((DERIVATIVES, derivatives.genocchi_from_derivatives))
 
 
-def test_every_formula_has_a_row():
-    assert set(ROUTE_INPUTS) == {*FormulaId, GENOCCHI_DERIVATIVES}
+def _key(module, code):
+    """module.qualname, or module.name on Python 3.10, which has no co_qualname."""
+    return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
-@pytest.fixture
-def touched(monkeypatch):
-    """The names in SHARED_INPUTS called from here on, the caches reset first."""
-    names = set()
+@pytest.fixture(scope="module")
+def runners():
+    """Each package function that a cold run of some route calls -> the names of those routes."""
+    found, previous = {}, sys.getprofile()
 
-    def recording(name, function):
-        def wrapper(*args, **kwargs):
-            names.add(name)
-            return function(*args, **kwargs)
+    def profile(frame, event, arg):
+        module, code = frame.f_globals.get("__name__", ""), frame.f_code
+        if event == "call" and module.split(".")[0] == "bernocchi" and code.co_name[0] != "<":
+            found.setdefault(_key(module, code), set()).add(name)
 
-        return wrapper
-
-    reset_caches()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bernocchi"]
-    for name, home in SHARED_INPUTS.items():
-        original = getattr(home, name)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, recording(name, original))
-    return names
-
-
-@pytest.mark.parametrize("route", ROUTE_INPUTS, ids=lambda r: getattr(r, "value", r))
-def test_route_reads_only_its_declared_shared_inputs(touched, route):
-    for n in (1, 2, 7, 12, 20):
-        if route == GENOCCHI_DERIVATIVES:
-            derivatives.genocchi_from_derivatives(n)
-        elif formulas.is_applicable(route, n):
-            formulas.formula_value(route, n)
-    assert touched == ROUTE_INPUTS[route]
+    for route in [*FormulaId, DERIVATIVES]:
+        name = getattr(route, "value", route)
+        reset_caches()
+        sys.setprofile(profile)
+        try:
+            for n in (1, 2, 7, 12, 20):
+                if route == DERIVATIVES:
+                    derivatives.genocchi_from_derivatives(n)
+                elif formulas.is_applicable(route, n):
+                    formulas.formula_value(route, n)
+            if route != DERIVATIVES:
+                list(formulas.bernoulli_sweep(route, 20) or ())
+        finally:
+            sys.setprofile(previous)
+    return found
 
 
-SWEPT_ROUTES = [fid for fid in FormulaId if formulas.bernoulli_sweep(fid, 0) is not None]
+def _classes(runners):
+    """The connected components of "runs a common function", as sets of route names."""
+    classes = []
+    for function, routes in runners.items():
+        if function not in DISPATCH:
+            joined = [c for c in classes if c & routes]
+            classes = [c for c in classes if c not in joined] + [routes.union(*joined)]
+    return classes
 
 
-@pytest.mark.parametrize("route", SWEPT_ROUTES, ids=lambda r: r.value)
-def test_sweep_reads_only_its_declared_shared_inputs(touched, route):
-    assert len(list(formulas.bernoulli_sweep(route, 20))) > 1
-    assert touched == ROUTE_INPUTS[route]
+def test_the_oracle_stands_apart_and_the_triangle_rows_are_the_only_class_of_several(runners):
+    assert DISPATCH <= runners.keys()  # so each name left out is still a function of formulas
+    shared = {f: sorted(r) for f, r in sorted(runners.items())  # empty while both hold
+              if f not in DISPATCH and len(r) > 1 and not r <= TRIANGLE}
+    classes = _classes(runners)
+    (anchor,) = [c for c in classes if "SERIES_ORACLE" in c]
+    trusted = {r for r in anchor - {"SERIES_ORACLE"} if r == DERIVATIVES or FormulaId(r).trusted}
+    assert not trusted, shared
+    assert [c for c in classes if len(c) > 1] == [TRIANGLE], shared
+
+
+@pytest.mark.parametrize("route, kernel", KERNELS, ids=lambda v: getattr(v, "__name__", v))
+def test_the_recorder_sees_each_route_run_its_kernel_and_sweep(runners, route, kernel):
+    assert route in runners.get(_key(kernel.__module__, kernel.__code__), ())
+
+
+def test_the_readme_lists_the_computed_classes(runners):
+    routes = set().union(*runners.values())
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    listed = [{r for r in routes if f"`{r}`" in ln} for ln in lines if ln.startswith("* Class ")]
+    assert sorted(map(sorted, listed)) == sorted(map(sorted, _classes(runners)))
